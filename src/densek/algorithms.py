@@ -183,12 +183,14 @@ def prc2(
     removable_set = set(removable)
     claimed: set[int] = set()
     for r in sorted(removable_set & surviving):
-        assert not (side[r] & claimed), "dense sides of survivors must be disjoint"
+        if side[r] & claimed:
+            raise RuntimeError("prc2: dense sides of survivors must be disjoint")
         claimed |= side[r]
     theta = {
         v: (len(side[v]) + 1 if v in removable_set else 1) for v in surviving
     }
-    assert sum(theta.values()) == size, "block sizes must cover the whole view"
+    if sum(theta.values()) != size:
+        raise RuntimeError("prc2: block sizes must cover the whole view")
 
     # Grow a connected seed until its blocks cover k/2 vertices, then prune
     # it minimal; minimality caps the covered count at k and the seed at k/2.
@@ -198,7 +200,8 @@ def prc2(
     covered = theta[start]
     queue = deque([start])
     while covered < half:
-        assert queue, "connected view must reach k/2 block weight"
+        if not queue:
+            raise RuntimeError("prc2: connected view must reach k/2 block weight")
         v = queue.popleft()
         for u in g.neighbors(v):
             if u in surviving and u not in chosen:
@@ -216,17 +219,13 @@ def prc2(
                 break
         else:
             break
-    assert half <= covered <= k, "pruned seed must cover between k/2 and k vertices"
-    assert len(chosen) <= half, "pruned seed must stay within k/2 vertices"
 
     j = min(half, len(surviving) - len(chosen))
-    assert j >= 1, "the surviving graph must extend past the seed"
     attachment = j_attachment(g, chosen, j, within=surviving)
     with_blocks = set(chosen)
     for r in removable_set & chosen:
         with_blocks |= side[r]
     with_attachment = chosen | set(attachment)
-    assert len(with_blocks) == covered
     if state_log is not None:
         state_log.append(
             Prc2State(

@@ -1,10 +1,10 @@
 """Exact densest-subgraph computation via parametric minimum cuts.
 
-Feasibility of "is there a subgraph denser than num/den?" reduces to a
-max-flow instance with integer capacities, so the whole search stays in
-exact arithmetic: binary search over Fraction thresholds narrows the
-optimum to an interval shorter than 1/n^2, inside which at most one
-achievable density exists, and the final witness is re-measured exactly.
+Feasibility of "is there a subgraph denser than num/den?" reduces to one
+max flow on Goldberg's network of n+2 nodes with integer capacities, so the
+search stays in exact arithmetic. Dinkelbach iteration raises the threshold
+to the density of each witness found; every step strictly increases it, and
+the first threshold with no witness is the optimum, certified by that cut.
 """
 
 from __future__ import annotations
@@ -116,44 +116,46 @@ def has_subgraph_denser_than(
 ) -> tuple[int, ...] | None:
     """A vertex set of density strictly above threshold, or None.
 
-    Standard cut construction: source feeds each positive edge 2w*den,
-    edges feed their endpoints unbounded, each vertex pays num to the sink.
-    A cut below 2W*den leaves a witness on the source side.
+    Goldberg's network on n+2 nodes, for threshold num/den: the source feeds
+    every vertex M = den*max(wdeg) + 1, each positive edge uv carries den*w
+    both ways, and vertex v drains M + num - den*wdeg(v) to the sink. A cut
+    with source side S has capacity M*n + num*|S| - 2*den*w(E(S)), so a max
+    flow below M*n leaves a denser set on the source side. Reachability in
+    the residual graph picks the smallest such set: the smallest maximizer
+    of 2*den*w(E(S)) - num*|S|.
     """
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    pos = [
-        (u, v, g.weights[i] if g.weighted else 1)
-        for i, (u, v) in enumerate(g.edges)
-        if not g.weighted or g.weights[i] > 0
-    ]
-    if not pos:
-        return None
     num, den = threshold.numerator, threshold.denominator
-    total_w = sum(w for _, _, w in pos)
-    source = 0
-    sink = 1 + g.n + len(pos)
-    net = FlowNetwork(sink + 1)
-    inf = 2 * total_w * den + 1
-    for i, (u, v, w) in enumerate(pos):
-        enode = 1 + g.n + i
-        net.add_edge(source, enode, 2 * w * den)
-        net.add_edge(enode, 1 + u, inf)
-        net.add_edge(enode, 1 + v, inf)
+    wdeg = [g.weighted_degree(v) for v in range(g.n)]
+    big = den * max(wdeg, default=0) + 1
+    source, sink = g.n, g.n + 1
+    net = FlowNetwork(g.n + 2)
+    for i, (u, v) in enumerate(g.edges):
+        w = g.weights[i] if g.weighted else 1
+        if w:
+            net.add_edge(u, v, den * w)
+            net.add_edge(v, u, den * w)
     for v in range(g.n):
-        net.add_edge(1 + v, sink, num)
-    flow = net.max_flow(source, sink)
-    if flow >= 2 * total_w * den:
+        net.add_edge(source, v, big)
+        net.add_edge(v, sink, big + num - den * wdeg[v])
+    if net.max_flow(source, sink) >= big * g.n:
         return None
     side = net.source_side(source)
-    witness = tuple(v for v in range(g.n) if (1 + v) in side)
-    assert witness, "feasible cut must leave vertices on the source side"
-    return witness
+    return tuple(v for v in range(g.n) if v in side)
 
 
 def densest_subgraph(g: Graph) -> DensestResult:
     """The exact maximum-density vertex set, plus a connected one matching it.
+
+    Dinkelbach iteration: starting from the witness at threshold 0, raise the
+    threshold to the witness's own density until no denser set exists; that
+    final None certifies optimality. Each witness is the smallest maximizer
+    of (d(S) - t)*|S| at a threshold t below the optimum. The last one attains
+    the optimum d*, so it is D*, the union of all maximum-density sets:
+    those are closed under union, and one strictly containing the witness
+    would score (d* - t) times a larger size, beating the witness.
 
     Every connected component of a maximizer is itself a maximizer, so the
     connected variant (the component holding the smallest vertex) has the
@@ -162,22 +164,13 @@ def densest_subgraph(g: Graph) -> DensestResult:
     witness = has_subgraph_denser_than(g, 0)
     if witness is None:
         raise ValueError("density maximization undefined at zero edges")
-    lo = Fraction(0)
-    hi = Fraction(max(g.total_weight, 1))
-    resolution = Fraction(1, g.n * g.n)
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        found = has_subgraph_denser_than(g, mid)
+    while True:
+        best = density(g, witness)
+        found = has_subgraph_denser_than(g, best)
         if found is None:
-            hi = mid
-        else:
-            lo = mid
-            witness = found
-    best = density(g, witness)
-    assert best.denominator <= g.n
-    assert has_subgraph_denser_than(g, best) is None
+            break
+        witness = found
     connected = components(g, witness)[0]
-    assert density(g, connected) == best
     return DensestResult(subgraph=witness, density=best, connected_variant=connected)
 
 

@@ -404,7 +404,10 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(lineno, "fields must be integers") from None
         u, v = vals[0], vals[1]
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(lineno, f"vertex id out of range 0..{n - 1}")
+            bad = u if not 0 <= u < n else v
+            raise EdgeListError(
+                lineno, f"vertex id {bad} out of range: the header declares n={n}"
+            )
         if u == v:
             raise EdgeListError(lineno, f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)

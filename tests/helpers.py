@@ -1,9 +1,10 @@
 """Shared graph builders and seeded corpora for the test suite."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from densek.generators import Xorshift64Star, gnp
-from densek.graph import Graph
+from densek.graph import Graph, density
 
 
 def path(n):
@@ -87,6 +88,25 @@ def weighted_version(g, seed, max_w=5):
     """Same edges as g with deterministic weights in 0..max_w."""
     rng = Xorshift64Star(seed)
     return Graph(g.n, list(g.edges), [rng.next_below(max_w + 1) for _ in g.edges])
+
+
+def twice(g):
+    """Disjoint union of g with a copy of itself on ids n..2n-1."""
+    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges]
+    return Graph(2 * g.n, edges, None if g.weights is None else g.weights * 2)
+
+
+def densest_union(g):
+    """D*, the union of every maximum-density vertex set, by enumeration."""
+    best, union = None, set()
+    for size in range(1, g.n + 1):
+        for s in combinations(range(g.n), size):
+            d = density(g, s)
+            if best is None or d > best:
+                best, union = d, set(s)
+            elif d == best:
+                union.update(s)
+    return tuple(sorted(union))
 
 
 def assert_valid_solution(g, sol, k):

@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from densek import load_edge_list
 from densek.cli import main
 
 K4P_TEXT = "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -82,6 +84,16 @@ class TestSolve:
         assert rows[0][0] == "algorithm"
         assert len(rows) == 5
 
+    def test_readme_file_format_example(self, capsys, tmp_path):
+        section = README.read_text(encoding="utf-8").split("### File format", 1)[1]
+        target = tmp_path / "readme.edges"
+        target.write_text(section.split("```\n", 2)[1])
+        code, report = run_json(capsys, ["solve", "--input", str(target), "--k", "3"])
+        assert code == 0
+        assert report["instance"]["n"] == 4
+        assert report["best"]["vertices"] == [0, 1, 2]
+        assert report["best"]["density"]["num"] == 2
+
     def test_weighted_instance_runs_greedy_under_auto(self, capsys, tmp_path):
         target = tmp_path / "w.edges"
         target.write_text("4 4 weighted\n0 1 2\n1 2 1\n2 3 1\n0 3 1\n")
@@ -110,6 +122,15 @@ class TestSolveErrors:
         bad.write_text("3 2\n0 1\n0 two\n")
         assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_headerless_file_names_the_bad_id(self, capsys, tmp_path):
+        # without a header, "0 1" reads as n=0, m=1
+        bad = tmp_path / "bad.edges"
+        bad.write_text("0 1\n1 2\n2 0\n")
+        assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "line 2: vertex id 1 out of range" in err
+        assert "n=0" in err
 
     def test_weighted_mismatch(self, capsys, tmp_path):
         target = tmp_path / "w.edges"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -14,7 +15,8 @@ from densek import (
     has_subgraph_denser_than,
     is_connected,
 )
-from helpers import complete, connected_corpus, k4p, path, star, weighted_version
+from helpers import complete, connected_corpus, densest_union, k4p, path, star
+from helpers import twice, weighted_version
 from helpers import two_triangles_bridged, two_triangles_path3
 from strategies import connected_graphs
 
@@ -154,6 +156,7 @@ class TestAgainstOracle:
             result = densest_subgraph(g)
             assert result.density == expected.best_density
             assert density(g, result.subgraph) == expected.best_density
+            assert result.subgraph == densest_union(g)
             assert density(g, result.connected_variant) == expected.best_density
             assert is_connected(g, result.connected_variant)
 
@@ -163,6 +166,7 @@ class TestAgainstOracle:
             expected = brute_densest(wg)
             result = densest_subgraph(wg)
             assert result.density == expected.best_density
+            assert result.subgraph == densest_union(wg)
 
     def test_density_denominator_stays_within_n(self):
         for g in connected_corpus(10, max_n=12, seed0=550):
@@ -172,6 +176,7 @@ class TestAgainstOracle:
     def test_hypothesis_matches_brute_force(self, g):
         result = densest_subgraph(g)
         assert result.density == brute_densest(g).best_density
+        assert result.subgraph == densest_union(g)
 
     @given(connected_graphs(min_n=2, max_n=8, weighted=True))
     def test_hypothesis_weighted_matches_brute_force(self, g):
@@ -179,6 +184,21 @@ class TestAgainstOracle:
             return
         result = densest_subgraph(g)
         assert result.density == brute_densest(g).best_density
+        assert result.subgraph == densest_union(g)
+
+    @given(
+        st.one_of(
+            connected_graphs(min_n=2, max_n=8),
+            connected_graphs(min_n=2, max_n=8, weighted=True),
+        )
+    )
+    def test_hypothesis_tied_copies_are_both_kept(self, g):
+        # every maximizer of g, in either copy, belongs to the union D*
+        if g.total_weight == 0:
+            return
+        core = densest_union(g)
+        expected = core + tuple(v + g.n for v in core)
+        assert densest_subgraph(twice(g)).subgraph == expected
 
 
 def test_connected_shortcut_matches_full_result():

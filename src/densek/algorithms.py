@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 from .densest import densest_connected_subgraph
 from .graph import (
     Graph,
+    _member_set,
     components,
     cut_vertices,
     densest_component_after,
@@ -80,17 +81,6 @@ def _check_even_input(g: Graph, k: int) -> None:
         raise ValueError("input graph must be connected")
 
 
-def _view(g: Graph, within: Iterable[int] | None) -> set[int]:
-    if within is None:
-        return set(range(g.n))
-    view = set(within)
-    if not view:
-        raise ValueError("empty vertex view")
-    if any(not 0 <= v < g.n for v in view):
-        raise ValueError("view contains out-of-range vertices")
-    return view
-
-
 def _degrees_in(g: Graph, view: set[int]) -> dict[int, int]:
     return {v: sum(1 for u in g.neighbors(v) if u in view) for v in view}
 
@@ -100,6 +90,22 @@ def _removable_in(view: set[int], deg: dict[int, int], edges: int) -> list[int]:
     # 2(m - d(v))/(s - 1) > 2m/s  <=>  d(v) * s < m.
     size = len(view)
     return sorted(v for v in view if deg[v] * size < edges)
+
+
+def _first_non_cut(g: Graph, view: set[int], candidates: Iterable[int]) -> int | None:
+    # First candidate, in the given order, that is not a cut vertex of the
+    # connected view (at least two vertices). A candidate with one neighbour
+    # in the view is a leaf and never a cut vertex; the articulation DFS runs
+    # at most once, and only when the scan reaches a higher-degree candidate.
+    articulation = None
+    for v in candidates:
+        if sum(1 for u in g.neighbors(v) if u in view) == 1:
+            return v
+        if articulation is None:
+            articulation = set(cut_vertices(g, within=view))
+        if v not in articulation:
+            return v
+    return None
 
 
 def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -112,7 +118,7 @@ def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
         raise ValueError("prc1 accepts unweighted graphs only")
     if k < 2 or k % 2:
         raise ValueError(f"k={k} must be even and at least 2")
-    view = _view(g, within)
+    view = _member_set(g, within)
     if len(view) <= k:
         raise ValueError("prc1 needs a vertex view strictly larger than k")
     if not is_connected(g, view):
@@ -153,7 +159,7 @@ def prc2(
         raise ValueError("prc2 accepts unweighted graphs only")
     if k < 2 or k % 2:
         raise ValueError(f"k={k} must be even and at least 2")
-    view = _view(g, within)
+    view = _member_set(g, within)
     size = len(view)
     if size <= k:
         raise ValueError("prc2 needs a vertex view strictly larger than k")
@@ -211,14 +217,13 @@ def prc2(
                 if covered >= half:
                     break
     while len(chosen) > 1:
-        articulation = set(cut_vertices(g, within=chosen))
-        for v in sorted(chosen):
-            if v not in articulation and covered - theta[v] >= half:
-                chosen.remove(v)
-                covered -= theta[v]
-                break
-        else:
+        v = _first_non_cut(
+            g, chosen, (u for u in sorted(chosen) if covered - theta[u] >= half)
+        )
+        if v is None:
             break
+        chosen.remove(v)
+        covered -= theta[v]
 
     j = min(half, len(surviving) - len(chosen))
     attachment = j_attachment(g, chosen, j, within=surviving)
@@ -250,6 +255,10 @@ def alg1(
 ) -> Solution:
     """Peel removable non-cut vertices; recurse into large dense sides.
 
+    Each step deletes the smallest-id vertex v with d(v)*|V| < |E| that is
+    not a cut vertex of the view. A candidate with one neighbour in the view
+    is a leaf and never a cut vertex, so the articulation points are computed
+    only in steps whose scan reaches a candidate of higher degree.
     When peeling stalls above k vertices, hand over to prc1 (no removable
     vertex left) or prc2 (all dense sides small). density_log, when given,
     receives one list per peeling phase holding the density after each step.
@@ -263,12 +272,9 @@ def alg1(
             density_log.append([Fraction(2 * edges, len(view))])
         while len(view) > k:
             size = len(view)
-            articulation = set(cut_vertices(g, within=view))
-            pick = None
-            for v in sorted(view):
-                if deg[v] * size < edges and v not in articulation:
-                    pick = v
-                    break
+            pick = _first_non_cut(
+                g, view, (v for v in sorted(view) if deg[v] * size < edges)
+            )
             if pick is None:
                 break
             view.remove(pick)

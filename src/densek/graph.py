@@ -224,6 +224,9 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
     """Articulation vertices of the (connected) induced graph, sorted.
 
     Iterative lowlink DFS; errors if the induced graph is disconnected.
+    A vertex with exactly one neighbour in the induced graph is never among
+    them: removing a leaf leaves the rest connected. Callers that only ask
+    about such a vertex can skip the DFS, as alg1 and prc2 do.
     """
     members = _member_set(g, within)
     if not members:

@@ -3,8 +3,15 @@
 from fractions import Fraction
 from itertools import combinations
 
+from densek.algorithms import Solution, prc1, prc2
 from densek.generators import Xorshift64Star, gnp
-from densek.graph import Graph, density
+from densek.graph import (
+    Graph,
+    cut_vertices,
+    densest_component_after,
+    density,
+    induced_weight,
+)
 
 
 def path(n):
@@ -107,6 +114,66 @@ def densest_union(g):
             elif d == best:
                 union.update(s)
     return tuple(sorted(union))
+
+
+def alg1_reference(g, k, density_log=None):
+    """alg1's peel loop as it was with a full articulation DFS on every step.
+
+    The reference for the peel order: each step recomputes every cut vertex
+    of the view before scanning. prc1, prc2 and densest_component_after come
+    from the package. Expects valid input (connected, unweighted, even k).
+    """
+
+    def degrees_in(view):
+        return {v: sum(1 for u in g.neighbors(v) if u in view) for v in view}
+
+    def removable_in(view, deg, edges):
+        return sorted(v for v in view if deg[v] * len(view) < edges)
+
+    def solution(vertices):
+        vs = tuple(sorted(vertices))
+        return Solution(vertices=vs, density=density(g, vs), algorithm="ALG1", k=k)
+
+    view = set(range(g.n))
+    deg = {v: g.degree(v) for v in view}
+    edges = g.m
+    while True:
+        if density_log is not None:
+            density_log.append([Fraction(2 * edges, len(view))])
+        while len(view) > k:
+            size = len(view)
+            articulation = set(cut_vertices(g, within=view))
+            pick = None
+            for v in sorted(view):
+                if deg[v] * size < edges and v not in articulation:
+                    pick = v
+                    break
+            if pick is None:
+                break
+            view.remove(pick)
+            edges -= deg[pick]
+            for u in g.neighbors(pick):
+                if u in view:
+                    deg[u] -= 1
+            del deg[pick]
+            if density_log is not None:
+                density_log[-1].append(Fraction(2 * edges, len(view)))
+        if len(view) == k:
+            return solution(view)
+        removable = removable_in(view, deg, edges)
+        if not removable:
+            return solution(prc1(g, k, within=view))
+        descend = None
+        for r in removable:
+            comp, _ = densest_component_after(g, r, within=view)
+            if len(comp) >= k:
+                descend = comp
+                break
+        if descend is None:
+            return solution(prc2(g, k, within=view))
+        view = set(descend)
+        deg = degrees_in(view)
+        edges = induced_weight(g, view)
 
 
 def assert_valid_solution(g, sol, k):

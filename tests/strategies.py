@@ -6,8 +6,13 @@ from densek.graph import Graph
 
 
 @st.composite
-def connected_graphs(draw, min_n=2, max_n=10, weighted=False, max_w=5):
-    """Connected graph: random spanning tree plus a random extra edge set."""
+def connected_graphs(
+    draw, min_n=2, max_n=10, weighted=False, max_w=5, max_extra=None
+):
+    """Connected graph: random spanning tree plus a random extra edge set.
+
+    max_extra caps the extra edges; a small cap gives sparse graphs.
+    """
     n = draw(st.integers(min_n, max_n))
     edges = set()
     for v in range(1, n):
@@ -19,7 +24,8 @@ def connected_graphs(draw, min_n=2, max_n=10, weighted=False, max_w=5):
         if (u, v) not in edges
     ]
     if rest:
-        extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=len(rest)))
+        cap = len(rest) if max_extra is None else min(max_extra, len(rest))
+        extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=cap))
         edges.update(extra)
     edge_list = sorted(edges)
     if not weighted:

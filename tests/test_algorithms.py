@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from densek import (
     Graph,
@@ -29,6 +30,7 @@ from densek import (
     weighted_greedy,
 )
 from helpers import (
+    alg1_reference,
     assert_valid_solution,
     barbell,
     complete,
@@ -45,6 +47,16 @@ from strategies import connected_graphs
 K5_WITH_TAIL = Graph(
     7, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5), (5, 6)]
 )
+
+
+def cliques_with_guard_and_tail(guard, tail):
+    """K6s on 2..7 and 8..13, joined through vertex guard (2-8) and with
+    vertex tail wired to 2 and 3. Both have degree 2 and are removable; the
+    guard is a cut vertex, the tail is not."""
+    edges = [(u, v) for u in range(2, 8) for v in range(u + 1, 8)]
+    edges += [(u, v) for u in range(8, 14) for v in range(u + 1, 14)]
+    edges += [(guard, 2), (guard, 8), (tail, 2), (tail, 3)]
+    return Graph(14, edges)
 
 
 def removable_free(g):
@@ -193,6 +205,33 @@ class TestAlg1:
                 alg1(g, k, density_log=log)
                 for phase in log:
                     assert all(b > a for a, b in zip(phase, phase[1:]))
+
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (k4p(), 4),  # a leaf candidate
+            (cliques_with_guard_and_tail(0, 1), 12),  # skip the cut vertex 0
+            (cliques_with_guard_and_tail(1, 0), 12),  # degree-2 non-cut first
+            (cliques_with_guard_and_tail(0, 1), 4),  # then descend into a K6
+        ],
+    )
+    def test_peel_order_matches_full_dfs_reference(self, g, k):
+        log, ref_log = [], []
+        assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
+        assert log == ref_log
+
+    @given(
+        st.one_of(
+            connected_graphs(min_n=4, max_n=24, max_extra=4),  # trees plus chords
+            connected_graphs(min_n=4, max_n=12),
+        ),
+        st.data(),
+    )
+    def test_hypothesis_peel_order_matches_full_dfs_reference(self, g, data):
+        k = 2 * data.draw(st.integers(1, g.n // 2))
+        log, ref_log = [], []
+        assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
+        assert log == ref_log
 
     def test_whole_graph_when_k_equals_n(self):
         sol = alg1(cycle(6), 6)

@@ -8,14 +8,16 @@ run in ascending id order.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable
 
 from .densest import densest_connected_subgraph
 from .graph import (
     Graph,
+    _bfs_fill,
     _member_set,
     components,
     cut_vertices,
@@ -384,6 +386,15 @@ def walk2_counts(
     return counts
 
 
+def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
+    # The first count ids in (-key, id) order: stable sorts by id, then by
+    # key descending. Without a sort when every id is taken anyway.
+    ids = list(ids)
+    if len(ids) <= count:
+        return set(ids)
+    return set(sorted(sorted(ids), key=key, reverse=True)[:count])
+
+
 def alg5_hub(
     g: Graph,
     k: int,
@@ -392,9 +403,16 @@ def alg5_hub(
 ) -> Solution:
     """Best hub-and-partners candidate outside the high-degree core.
 
-    For each vertex of the residual graph, group it with its strongest
-    two-step partners and the neighbors best wired into them, keep the
-    hub's component, and expand back in the full graph.
+    Candidate hubs are the vertices outside the k/2 highest-degree set H,
+    scanned in ascending id. A hub takes up to k/2-1 partners, ranked by
+    their count of two-step walks from the hub through middle vertices
+    outside H (walk2_counts with H excluded), and up to k/2 neighbours
+    outside H, ranked by their number of neighbours among the partners;
+    both rankings break ties toward the smaller id. The hub's component of
+    that group is grown to k vertices by expand_to_k's breadth-first search
+    in the whole graph. The candidate with the most induced edges wins;
+    ties keep the earliest hub. Per hub the work is local: its two-step
+    neighbourhood outside H and the growth to k, never a whole-graph pass.
     """
     _check_even_input(g, k)
     half = k // 2
@@ -402,25 +420,34 @@ def alg5_hub(
     rest = [v for v in range(g.n) if v not in hubs]
     if not rest:
         raise ValueError("hub scan needs vertices outside the high-degree set")
-    rest_set = set(rest)
-    walks = walk2_counts(g, excluded=hubs)
-    partners_of: dict[int, list[tuple[int, int]]] = {v: [] for v in rest}
-    for (u, v), c in walks.items():
-        partners_of[u].append((v, c))
-        partners_of[v].append((u, c))
+    adjacent = [set(g.neighbors(v)) for v in range(g.n)]
+    free = [[u for u in g.neighbors(v) if u not in hubs] for v in range(g.n)]
+    everything = range(g.n)
     best = None
     best_weight = -1
     for hub in rest:
-        ranked = sorted(partners_of[hub], key=lambda t: (-t[1], t[0]))
-        partners = set(u for u, _ in ranked[: half - 1])
-        near = [u for u in g.neighbors(hub) if u in rest_set]
-        near.sort(key=lambda u: (-sum(1 for x in g.neighbors(u) if x in partners), u))
-        group = {hub} | partners | set(near[: min(len(near), half)])
-        comp = next(c for c in components(g, group) if hub in c)
-        out = expand_to_k(g, comp, k)
+        # walk2_counts(g, hubs) restricted to pairs (hub, v), counted locally.
+        walks = Counter(chain.from_iterable(map(free.__getitem__, free[hub])))
+        del walks[hub]
+        partners = _top(walks, half - 1, walks.__getitem__)
+        near = _top(free[hub], half, lambda u: len(adjacent[u] & partners))
+        # The hub's component of the group: near vertices touch the hub, so
+        # the search only has to reach partners, through the component.
+        comp = {hub} | near
+        pending = partners - comp
+        queue = list(comp)
+        for v in queue:
+            if not pending:
+                break
+            found = adjacent[v] & pending
+            if found:
+                comp |= found
+                pending -= found
+                queue.extend(found)
+        out = _bfs_fill(g, comp, k, everything)
         if expansion_log is not None:
-            expansion_log.append((comp, out))
-        weight = induced_weight(g, out)
+            expansion_log.append((tuple(sorted(comp)), tuple(sorted(out))))
+        weight = sum(map(len, map(out.intersection, map(adjacent.__getitem__, out))))
         if weight > best_weight:
             best, best_weight = out, weight
     return _make_solution(g, best, HUB, k)

@@ -238,6 +238,7 @@ def cmd_bench(args) -> int:
     if not files:
         raise ValueError(f"corpus {corpus} holds no *.edges instances")
     rows = []
+    failed = 0
     for path in files:
         g = load_edge_list(path)
         sidecar = load_sidecar(path)
@@ -250,7 +251,17 @@ def cmd_bench(args) -> int:
         names = ["wgreedy"] if g.weighted else list(_ALL_NAMES)
         for k in _bench_ks(args, sidecar):
             for name in names:
-                entry = _timed_run(g, k, name)
+                # A failed solve (k > n, say) fails its own row only, tagged
+                # as its solution would be (hub -> HUB).
+                try:
+                    entry = _timed_run(g, k, name)
+                except ValueError as exc:
+                    failed += 1
+                    rows.append(
+                        [path.name, family, name.upper(), k, g.n, g.m,
+                         "", "", "", "", "", str(exc)]
+                    )
+                    continue
                 dens = _entry_density(entry)
                 ratio = ""
                 if known_opt is not None and dens > 0:
@@ -258,17 +269,21 @@ def cmd_bench(args) -> int:
                 rows.append(
                     [path.name, family, entry["algorithm"], k, g.n, g.m,
                      dens.numerator, dens.denominator, float(dens),
-                     ratio, entry["elapsed_ms"]]
+                     ratio, entry["elapsed_ms"], "ok"]
                 )
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(
         ["instance", "family", "algorithm", "k", "n", "m", "density_num",
-         "density_den", "density", "ratio_vs_known", "elapsed_ms"]
+         "density_den", "density", "ratio_vs_known", "elapsed_ms", "status"]
     )
     writer.writerows(rows)
     Path(args.out).write_text(buffer.getvalue())
     print(f"wrote {len(rows)} rows to {args.out}")
+    if failed:
+        print(f"error: {failed} of {len(rows)} solves failed; see the status column",
+              file=sys.stderr)
+        return EXIT_VALUE
     return EXIT_OK
 
 

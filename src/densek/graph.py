@@ -323,11 +323,12 @@ def expand_to_k(
     g: Graph, s: Iterable[int], k: int, within: Iterable[int] | None = None
 ) -> tuple[int, ...]:
     """Grow connected g[s] to exactly k vertices by BFS, ids ascending."""
-    members = _member_set(g, within)
+    # The whole graph is tested as a range: no per-call set of all n ids.
+    members = range(g.n) if within is None else _member_set(g, within)
     sset = set(s)
     if not sset:
         raise ValueError("cannot expand an empty set")
-    if not sset <= members:
+    if not all(v in members for v in sset):
         raise ValueError("seed set leaves the graph")
     if len(sset) > k:
         raise ValueError(f"seed has {len(sset)} vertices, more than k={k}")

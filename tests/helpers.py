@@ -3,13 +3,21 @@
 from fractions import Fraction
 from itertools import combinations
 
-from densek.algorithms import Solution, prc1, prc2
+from densek.algorithms import (
+    Solution,
+    highest_degree_vertices,
+    prc1,
+    prc2,
+    walk2_counts,
+)
 from densek.generators import Xorshift64Star, gnp
 from densek.graph import (
     Graph,
+    components,
     cut_vertices,
     densest_component_after,
     density,
+    expand_to_k,
     induced_weight,
 )
 
@@ -174,6 +182,60 @@ def alg1_reference(g, k, density_log=None):
         view = set(descend)
         deg = degrees_in(view)
         edges = induced_weight(g, view)
+
+
+def alg5_hub_reference(g, k, expansion_log=None):
+    """alg5_hub's scan as it was, with whole-graph work per candidate hub.
+
+    The reference for the hub scan: global walk2_counts and partner lists,
+    components of every group, expand_to_k and induced_weight per hub.
+    Expects valid input (connected, unweighted, even k).
+    """
+    half = k // 2
+    hubs = set(highest_degree_vertices(g, half))
+    rest = [v for v in range(g.n) if v not in hubs]
+    rest_set = set(rest)
+    walks = walk2_counts(g, excluded=hubs)
+    partners_of = {v: [] for v in rest}
+    for (u, v), c in walks.items():
+        partners_of[u].append((v, c))
+        partners_of[v].append((u, c))
+    best = None
+    best_weight = -1
+    for hub in rest:
+        ranked = sorted(partners_of[hub], key=lambda t: (-t[1], t[0]))
+        partners = set(u for u, _ in ranked[: half - 1])
+        near = [u for u in g.neighbors(hub) if u in rest_set]
+        near.sort(key=lambda u: (-sum(1 for x in g.neighbors(u) if x in partners), u))
+        group = {hub} | partners | set(near[: min(len(near), half)])
+        comp = next(c for c in components(g, group) if hub in c)
+        out = expand_to_k(g, comp, k)
+        if expansion_log is not None:
+            expansion_log.append((comp, out))
+        weight = induced_weight(g, out)
+        if weight > best_weight:
+            best, best_weight = out, weight
+    return Solution(vertices=best, density=density(g, best), algorithm="HUB", k=k)
+
+
+def weighted_greedy_reference(g, k):
+    """weighted_greedy's star loop, each star grown inside an explicit view.
+
+    Passing within=range(n) sends expand_to_k through its vertex-set path,
+    so this checks the whole-graph path against it. Expects valid input.
+    """
+    best = None
+    best_weight = -1
+    for v in range(g.n):
+        ranked = sorted(g.neighbors(v), key=lambda u: (-g.edge_weight(v, u), u))
+        star = {v, *ranked[: k - 1]}
+        out = expand_to_k(g, star, k, within=range(g.n))
+        weight = induced_weight(g, out)
+        if weight > best_weight:
+            best, best_weight = out, weight
+    return Solution(
+        vertices=best, density=density(g, best), algorithm="WGREEDY", k=k
+    )
 
 
 def assert_valid_solution(g, sol, k):

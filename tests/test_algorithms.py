@@ -31,6 +31,7 @@ from densek import (
 )
 from helpers import (
     alg1_reference,
+    alg5_hub_reference,
     assert_valid_solution,
     barbell,
     complete,
@@ -40,6 +41,7 @@ from helpers import (
     path,
     star,
     two_triangles_path3,
+    weighted_greedy_reference,
     weighted_version,
 )
 from strategies import connected_graphs
@@ -57,6 +59,41 @@ def cliques_with_guard_and_tail(guard, tail):
     edges += [(u, v) for u in range(8, 14) for v in range(u + 1, 14)]
     edges += [(guard, 2), (guard, 8), (tail, 2), (tail, 3)]
     return Graph(14, edges)
+
+
+def with_degree5_core(edges):
+    """edges plus the triangle 8-9-10 whose corners carry three leaves each.
+
+    The corners have degree 5 or more, so for k = 6 they are the high-degree
+    set that the hub scan leaves out; every vertex 0..7 has degree under 5.
+    """
+    core = [(8, 9), (8, 10), (9, 10)]
+    core += [(c, leaf) for c, first in ((8, 11), (9, 14), (10, 17))
+             for leaf in range(first, first + 3)]
+    return Graph(20, list(edges) + core)
+
+
+def hub_tied_partners():
+    """k = 4: vertices 4 and 5 (degree 4) are the high-degree set. Hub 0
+    reaches 2 and 3 by one walk each through 1; the one partner is 2."""
+    return Graph(10, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5),
+                      (4, 6), (4, 7), (5, 8), (5, 9)])
+
+
+def hub_tied_near():
+    """k = 6: hub 0 has neighbours 1..4 and partners 5 (three walks) and 6
+    (two). Wiring into them: 3 has two, 1, 2 and 4 one each; the three
+    near vertices are 3, 1 and 2."""
+    return with_degree5_core([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
+                              (3, 5), (3, 6), (4, 6), (4, 7), (7, 8)])
+
+
+def hub_dropped_partner():
+    """k = 6: hub 0 has neighbours 1..4 and partners 5 (through 1, 2, 3) and
+    6 (through 4 only). All four neighbours tie on wiring, 4 is not near,
+    so the hub's component {0, 1, 2, 3, 5} drops partner 6."""
+    return with_degree5_core([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
+                              (3, 5), (4, 6), (6, 7), (6, 8)])
 
 
 def removable_free(g):
@@ -371,6 +408,35 @@ class TestHub:
         assert len(sol.vertices) == 2
         assert is_connected(g=k4p(), s=sol.vertices)
 
+    @pytest.mark.parametrize(
+        "g, k, hub0_component",
+        [
+            (hub_tied_partners(), 4, (0, 1, 2)),
+            (hub_tied_near(), 6, (0, 1, 2, 3, 5, 6)),
+            (hub_dropped_partner(), 6, (0, 1, 2, 3, 5)),
+            (star(4), 2, (1,)),  # k = 2: no partners; the leaf's hub is taken
+            (path(5), 2, (0,)),
+        ],
+    )
+    def test_scan_matches_whole_graph_reference(self, g, k, hub0_component):
+        log, ref_log = [], []
+        assert alg5_hub(g, k, expansion_log=log) == alg5_hub_reference(g, k, ref_log)
+        assert log == ref_log
+        assert log[0][0] == hub0_component
+
+    @given(
+        st.one_of(
+            connected_graphs(min_n=2, max_n=24, max_extra=8),
+            connected_graphs(min_n=2, max_n=24),
+        ),
+        st.data(),
+    )
+    def test_hypothesis_scan_matches_whole_graph_reference(self, g, data):
+        k = 2 * data.draw(st.integers(1, g.n // 2))
+        log, ref_log = [], []
+        assert alg5_hub(g, k, expansion_log=log) == alg5_hub_reference(g, k, ref_log)
+        assert log == ref_log
+
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             alg5_hub(cycle(6), 5)
@@ -412,6 +478,19 @@ class TestWeightedGreedy:
             sol = weighted_greedy(wg, k)
             opt = brute_k(wg, k, connected=False).best_density
             assert sol.density * k >= 2 * opt
+
+    @pytest.mark.parametrize("weight", [0, 1, 3])
+    def test_uniform_weights_match_reference(self, weight):
+        # a triangle with a tail, every edge tied, all-zero weights included
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)], [weight] * 6)
+        for k in range(1, g.n + 1):
+            assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
+
+    @given(connected_graphs(min_n=1, max_n=14, weighted=True, max_w=2), st.data())
+    def test_hypothesis_matches_reference(self, g, data):
+        # weights 0..2: zero weights and ties on almost every draw
+        k = data.draw(st.integers(1, g.n))
+        assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="out of range"):

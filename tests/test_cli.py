@@ -284,6 +284,27 @@ class TestBench:
         assert len(rows) == 2
         assert rows[1][2] == "WGREEDY"
 
+    def test_failed_solve_keeps_its_row(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "example1a", "--ell", "2", "--out", str(corpus / "a.edges")])
+        capsys.readouterr()
+        out = tmp_path / "bench.csv"
+        # example1a(2) has 8 vertices: k = 40 fails for every algorithm
+        assert main(["bench", "--corpus", str(corpus), "--k", "4,40",
+                     "--out", str(out)]) == 4
+        assert "5 of 10 solves failed" in capsys.readouterr().err
+        rows = list(csv.reader(out.read_text().strip().splitlines()))
+        header, body = rows[0], rows[1:]
+        assert header[-1] == "status"
+        assert [row[-1] for row in body[:5]] == ["ok"] * 5
+        assert [row[2] for row in body] == ["ALG1", "ALG3", "ALG4", "HUB",
+                                            "WGREEDY"] * 2
+        for row in body[5:]:
+            assert row[3] == "40"
+            assert row[6:11] == ["", "", "", "", ""]
+            assert "out of range" in row[-1]
+
     def test_missing_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.csv")]) == 7

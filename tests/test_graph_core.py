@@ -272,12 +272,17 @@ class TestExpandToK:
         assert expand_to_k(path(4), [1, 2], 2) == (1, 2)
 
     def test_size_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="more than k=2"):
             expand_to_k(path(4), [0, 1, 2], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the graph size 4"):
             expand_to_k(path(4), [0], 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             expand_to_k(path(4), [], 2)
+
+    @pytest.mark.parametrize("seed", [[-1], [4], [0, 4]])
+    def test_seed_outside_the_graph(self, seed):
+        with pytest.raises(ValueError, match="leaves the graph"):
+            expand_to_k(path(4), seed, 3)
 
     @given(graphs_with_subset(max_n=9))
     def test_grows_connected_supersets(self, triple):

@@ -2,7 +2,7 @@
 
 Library layout:
   graph       immutable Graph, exact density, attachment/expansion primitives
-  densest     exact densest subgraph: Dinkelbach iteration on Goldberg's network
+  densest     exact densest subgraph: nested Dinkelbach flows on Goldberg's network
   algorithms  the approximation suite and the combined selector
   oracle      brute-force exact optima for small instances
   generators  adversarial and random instance families

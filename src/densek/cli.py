@@ -84,10 +84,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _load_instance(path: str) -> Graph:
-    return load_edge_list(path)
-
-
 def _solve_entries(g: Graph, k: int, algo: str) -> list[dict]:
     if algo == "auto":
         names = ["wgreedy"] if g.weighted else list(_UNWEIGHTED_ONLY)
@@ -119,7 +115,7 @@ def _report_csv(entries: list[dict], g: Graph) -> str:
 
 
 def cmd_solve(args) -> int:
-    g = _load_instance(args.input)
+    g = load_edge_list(args.input, connectable=True)
     if not 3 <= args.k <= g.n:
         raise ValueError(f"k={args.k} out of range 3..{g.n}")
     entries = _solve_entries(g, args.k, args.algo)
@@ -159,7 +155,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_instance(args.input)
+    g = load_edge_list(args.input)
     exact = brute_k(g, args.k, connected=args.connected, limit=args.oracle_limit)
     report = {
         "instance": {
@@ -240,7 +236,7 @@ def cmd_bench(args) -> int:
     rows = []
     failed = 0
     for path in files:
-        g = load_edge_list(path)
+        g = load_edge_list(path, connectable=True)
         sidecar = load_sidecar(path)
         known_opt = None
         if sidecar is not None and sidecar.get("known_opt_num") is not None:

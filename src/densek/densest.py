@@ -2,106 +2,86 @@
 
 Feasibility of "is there a subgraph denser than num/den?" reduces to one
 max flow on Goldberg's network of n+2 nodes with integer capacities, so the
-search stays in exact arithmetic. Dinkelbach iteration raises the threshold
-to the density of each witness found; every step strictly increases it, and
-the first threshold with no witness is the optimum, certified by that cut.
+search stays in exact arithmetic. No big constant M is needed: each vertex
+has only the part of its source or sink arc that is left once its direct
+source-vertex-sink path is saturated. Dinkelbach iteration raises the
+threshold to the density of each witness found; every step strictly
+increases it, and the first threshold with no witness is the optimum,
+certified by that cut. The smallest maximizer of 2*w(E(S)) - t*|S| shrinks
+as t rises (2*w(E(S)) is supermodular), so each flow runs only on the
+previous witness, and the threshold-0 witness needs no flow at all.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable
 
-from .graph import Graph, components, density
+from .graph import Graph, _member_set, components, density
 
 
-class FlowNetwork:
-    """Dinic max-flow on integer capacities, with residual-side extraction."""
+def _residual_source_side(
+    head: list[list[int]], to: list[int], cap: list[int], s: int, t: int
+) -> list[int]:
+    """Dinic max flow from s to t; returns the residual reachability levels.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be nonnegative")
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def _levels(self, s: int) -> list[int]:
-        level = [-1] * self.n
+    cap is consumed as the residual capacity; arcs come in pairs e, e ^ 1.
+    The returned list has level >= 0 exactly on the nodes reachable from s
+    in the final residual graph, the smallest min-cut source side.
+    """
+    size = len(head)
+    while True:
+        level = [-1] * size
         level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for e in self.head[v]:
-                u = self.to[e]
-                if self.cap[e] > 0 and level[u] < 0:
-                    level[u] = level[v] + 1
-                    q.append(u)
-        return level
-
-    def max_flow(self, s: int, t: int) -> int:
-        if s == t:
-            raise ValueError("source equals sink")
-        to, cap, head = self.to, self.cap, self.head
-        total = 0
+        queue = [s]
+        for v in queue:
+            nxt = level[v] + 1
+            for e in head[v]:
+                u = to[e]
+                if cap[e] and level[u] < 0:
+                    level[u] = nxt
+                    queue.append(u)
+            # Nodes still unlabelled lie at t's level or beyond, off every
+            # shortest augmenting path, so this phase needs no more levels.
+            if level[t] >= 0:
+                break
+        else:
+            return level
+        it = [0] * size
+        path: list[int] = []  # arcs from s to the current node
+        v = s
         while True:
-            level = self._levels(s)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-            path: list[int] = []  # edge indices from s to the current vertex
-            v = s
-            while True:
-                if v == t:
-                    pushed = min(cap[e] for e in path)
-                    for e in path:
-                        cap[e] -= pushed
-                        cap[e ^ 1] += pushed
-                    total += pushed
-                    for i, e in enumerate(path):
-                        if cap[e] == 0:
-                            del path[i:]
-                            break
-                    v = to[path[-1]] if path else s
-                    continue
-                advanced = False
-                while it[v] < len(head[v]):
-                    e = head[v][it[v]]
-                    u = to[e]
-                    if cap[e] > 0 and level[u] == level[v] + 1:
-                        path.append(e)
-                        v = u
-                        advanced = True
+            if v == t:
+                pushed = min(map(cap.__getitem__, path))
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                for i, e in enumerate(path):
+                    if not cap[e]:
+                        del path[i:]
                         break
-                    it[v] += 1
-                if not advanced:
-                    if v == s:
-                        break
-                    level[v] = -1
-                    e = path.pop()
-                    v = to[e ^ 1]
-
-    def source_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual graph (a min cut side)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for e in self.head[v]:
-                u = self.to[e]
-                if self.cap[e] > 0 and u not in seen:
-                    seen.add(u)
-                    q.append(u)
-        return seen
+                v = to[path[-1]] if path else s
+                continue
+            arcs = head[v]
+            bound = len(arcs)
+            nxt = level[v] + 1
+            i = it[v]
+            while i < bound:
+                e = arcs[i]
+                if cap[e] and level[to[e]] == nxt:
+                    break
+                i += 1
+            it[v] = i
+            if i < bound:
+                path.append(e)
+                v = to[e]
+            elif v == s:
+                break
+            else:
+                level[v] = -1
+                v = to[path.pop() ^ 1]
 
 
 @dataclass(frozen=True)
@@ -112,61 +92,105 @@ class DensestResult:
 
 
 def has_subgraph_denser_than(
-    g: Graph, threshold: Fraction | int
+    g: Graph, threshold: Fraction | int, within: Iterable[int] | None = None
 ) -> tuple[int, ...] | None:
     """A vertex set of density strictly above threshold, or None.
 
-    Goldberg's network on n+2 nodes, for threshold num/den: the source feeds
-    every vertex M = den*max(wdeg) + 1, each positive edge uv carries den*w
-    both ways, and vertex v drains M + num - den*wdeg(v) to the sink. A cut
-    with source side S has capacity M*n + num*|S| - 2*den*w(E(S)), so a max
-    flow below M*n leaves a denser set on the source side. Reachability in
-    the residual graph picks the smallest such set: the smallest maximizer
-    of 2*den*w(E(S)) - num*|S|.
+    Searches g[within] (default: all of g). Goldberg's network for threshold
+    num/den without M: each positive edge uv carries den*w both ways, and
+    vertex v, of induced weighted degree wdeg(v), gets a source arc of
+    capacity den*wdeg(v) - num when that is positive, else a sink arc of
+    num - den*wdeg(v). A cut with source side S costs (sum of source arcs)
+    + num*|S| - 2*den*w(E(S)), so a max flow below the source arcs' sum
+    leaves a denser set on the source side. Reachability in the residual
+    graph picks the smallest such set: the smallest maximizer of
+    2*den*w(E(S)) - num*|S|.
+
+    As 2*w(E(S)) is supermodular, every maximizer at a higher threshold
+    lies inside that set, so a search at a higher threshold within it
+    returns what a search on all of g would.
     """
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     num, den = threshold.numerator, threshold.denominator
-    wdeg = [g.weighted_degree(v) for v in range(g.n)]
-    big = den * max(wdeg, default=0) + 1
-    source, sink = g.n, g.n + 1
-    net = FlowNetwork(g.n + 2)
-    for i, (u, v) in enumerate(g.edges):
-        w = g.weights[i] if g.weighted else 1
-        if w:
-            net.add_edge(u, v, den * w)
-            net.add_edge(v, u, den * w)
-    for v in range(g.n):
-        net.add_edge(source, v, big)
-        net.add_edge(v, sink, big + num - den * wdeg[v])
-    if net.max_flow(source, sink) >= big * g.n:
-        return None
-    side = net.source_side(source)
-    return tuple(v for v in range(g.n) if v in side)
+    verts = range(g.n) if within is None else sorted(_member_set(g, within))
+    local = {v: i for i, v in enumerate(verts)}
+    size = len(verts)
+    source, sink = size, size + 1
+    head: list[list[int]] = [[] for _ in range(size + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+    wdeg = [0] * size
+    for (u, v), w in zip(g.edges, g.weights or repeat(1)):
+        if w and u in local and v in local:
+            i, j = local[u], local[v]
+            head[i].append(len(to))
+            head[j].append(len(to) + 1)
+            to += (j, i)
+            cap += (den * w, den * w)
+            wdeg[i] += w
+            wdeg[j] += w
+    # Each vertex's direct source-v-sink path is saturated up front, leaving
+    # its excess as a source arc (positive) or a sink arc (negative); so is
+    # each source-u-v-sink path through one edge from an excess to a deficit.
+    excess = [den * d - num for d in wdeg]
+    for e in range(0, len(to), 2):
+        j, i = to[e], to[e + 1]
+        if excess[j] > 0 > excess[i]:
+            i, j, e = j, i, e + 1
+        elif not excess[i] > 0 > excess[j]:
+            continue
+        f = min(excess[i], -excess[j], cap[e])
+        cap[e] -= f
+        cap[e ^ 1] += f
+        excess[i] -= f
+        excess[j] += f
+    for i, x in enumerate(excess):
+        if x > 0:
+            head[source].append(len(to))
+            head[i].append(len(to) + 1)
+            to += (i, source)
+            cap += (x, 0)
+        elif x < 0:
+            head[i].append(len(to))
+            head[sink].append(len(to) + 1)
+            to += (sink, i)
+            cap += (-x, 0)
+    level = _residual_source_side(head, to, cap, source, sink)
+    # The side holds a vertex iff the max flow is below the source arcs' sum.
+    side = tuple(v for v, lv in zip(verts, level) if lv >= 0)
+    return side or None
 
 
 def densest_subgraph(g: Graph) -> DensestResult:
     """The exact maximum-density vertex set, plus a connected one matching it.
 
-    Dinkelbach iteration: starting from the witness at threshold 0, raise the
-    threshold to the witness's own density until no denser set exists; that
-    final None certifies optimality. Each witness is the smallest maximizer
-    of (d(S) - t)*|S| at a threshold t below the optimum. The last one attains
-    the optimum d*, so it is D*, the union of all maximum-density sets:
-    those are closed under union, and one strictly containing the witness
-    would score (d* - t) times a larger size, beating the witness.
+    Dinkelbach iteration: starting from the witness at threshold 0 (the
+    vertices on positive-weight edges), raise the threshold to the witness's
+    own density until no denser set exists; that final None certifies
+    optimality. Each witness is the smallest maximizer of (d(S) - t)*|S| at
+    a threshold t below the optimum, and every maximizer at a higher
+    threshold lies inside it, so the next search runs within it. The last
+    one attains the optimum d*, so it is D*, the union of all
+    maximum-density sets: those are closed under union, and one strictly
+    containing the witness would score (d* - t) times a larger size,
+    beating the witness.
 
     Every connected component of a maximizer is itself a maximizer, so the
     connected variant (the component holding the smallest vertex) has the
     same density.
     """
-    witness = has_subgraph_denser_than(g, 0)
-    if witness is None:
+    touched = set()
+    for e, w in zip(g.edges, g.weights or repeat(1)):
+        if w:
+            touched.update(e)
+    if not touched:
         raise ValueError("density maximization undefined at zero edges")
+    witness = tuple(sorted(touched))
     while True:
         best = density(g, witness)
-        found = has_subgraph_denser_than(g, best)
+        found = has_subgraph_denser_than(g, best, within=witness)
         if found is None:
             break
         witness = found

@@ -371,12 +371,14 @@ def j_attachment(
     return tuple(sorted(grown - sset))
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, connectable: bool = False) -> Graph:
     """Parse the package's edge-list format.
 
     Line 1 is ``n m`` or ``n m weighted``; the next m lines are ``u v`` or
     ``u v w`` with 0-based vertex ids and nonnegative integer weights.
-    Violations raise EdgeListError with the offending line number.
+    Violations raise EdgeListError with the offending line number. With
+    connectable=True a header with n > m + 1, which no connected graph
+    fits, raises ValueError before any per-vertex list is built.
     """
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -390,6 +392,11 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(1, "vertex and edge counts must be integers") from None
     if n < 0 or m < 0:
         raise EdgeListError(1, "counts must be nonnegative")
+    if connectable and n > m + 1:
+        raise ValueError(
+            f"header declares n={n} vertices and m={m} edges; "
+            f"a connected graph needs n <= m + 1"
+        )
     weighted = len(head) == 3
     fields = 3 if weighted else 2
     edges: list[tuple[int, int]] = []
@@ -441,9 +448,9 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_edge_list(path) -> Graph:
+def load_edge_list(path, connectable: bool = False) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), connectable)
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -1,5 +1,6 @@
 """Shared graph builders and seeded corpora for the test suite."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from densek.algorithms import (
     prc2,
     walk2_counts,
 )
+from densek.densest import DensestResult
 from densek.generators import Xorshift64Star, gnp
 from densek.graph import (
     Graph,
@@ -122,6 +124,155 @@ def densest_union(g):
             elif d == best:
                 union.update(s)
     return tuple(sorted(union))
+
+
+class FlowNetwork:
+    """Dinic max-flow on integer capacities, with residual-side extraction.
+
+    The flow network that has_subgraph_denser_than_reference builds on,
+    kept verbatim as the reference for the flow in densek.densest.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError("capacity must be nonnegative")
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _levels(self, s: int) -> list[int]:
+        level = [-1] * self.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for e in self.head[v]:
+                u = self.to[e]
+                if self.cap[e] > 0 and level[u] < 0:
+                    level[u] = level[v] + 1
+                    q.append(u)
+        return level
+
+    def max_flow(self, s: int, t: int) -> int:
+        if s == t:
+            raise ValueError("source equals sink")
+        to, cap, head = self.to, self.cap, self.head
+        total = 0
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return total
+            it = [0] * self.n
+            path: list[int] = []  # edge indices from s to the current vertex
+            v = s
+            while True:
+                if v == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    total += pushed
+                    for i, e in enumerate(path):
+                        if cap[e] == 0:
+                            del path[i:]
+                            break
+                    v = to[path[-1]] if path else s
+                    continue
+                advanced = False
+                while it[v] < len(head[v]):
+                    e = head[v][it[v]]
+                    u = to[e]
+                    if cap[e] > 0 and level[u] == level[v] + 1:
+                        path.append(e)
+                        v = u
+                        advanced = True
+                        break
+                    it[v] += 1
+                if not advanced:
+                    if v == s:
+                        break
+                    level[v] = -1
+                    e = path.pop()
+                    v = to[e ^ 1]
+
+    def source_side(self, s: int) -> set[int]:
+        """Vertices reachable from s in the residual graph (a min cut side)."""
+        seen = {s}
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for e in self.head[v]:
+                u = self.to[e]
+                if self.cap[e] > 0 and u not in seen:
+                    seen.add(u)
+                    q.append(u)
+        return seen
+
+
+def has_subgraph_denser_than_reference(g, threshold):
+    """has_subgraph_denser_than on the whole graph, on the network with M.
+
+    Goldberg's network on n+2 nodes, for threshold num/den: the source feeds
+    every vertex M = den*max(wdeg) + 1, each positive edge uv carries den*w
+    both ways, and vertex v drains M + num - den*wdeg(v) to the sink.
+    """
+    threshold = Fraction(threshold)
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    num, den = threshold.numerator, threshold.denominator
+    wdeg = [g.weighted_degree(v) for v in range(g.n)]
+    big = den * max(wdeg, default=0) + 1
+    source, sink = g.n, g.n + 1
+    net = FlowNetwork(g.n + 2)
+    for i, (u, v) in enumerate(g.edges):
+        w = g.weights[i] if g.weighted else 1
+        if w:
+            net.add_edge(u, v, den * w)
+            net.add_edge(v, u, den * w)
+    for v in range(g.n):
+        net.add_edge(source, v, big)
+        net.add_edge(v, sink, big + num - den * wdeg[v])
+    if net.max_flow(source, sink) >= big * g.n:
+        return None
+    side = net.source_side(source)
+    return tuple(v for v in range(g.n) if v in side)
+
+
+def densest_subgraph_reference(g):
+    """densest_subgraph's Dinkelbach loop with a whole-graph flow per step,
+    the threshold-0 one included."""
+    witness = has_subgraph_denser_than_reference(g, 0)
+    if witness is None:
+        raise ValueError("density maximization undefined at zero edges")
+    while True:
+        best = density(g, witness)
+        found = has_subgraph_denser_than_reference(g, best)
+        if found is None:
+            break
+        witness = found
+    connected = components(g, witness)[0]
+    return DensestResult(subgraph=witness, density=best, connected_variant=connected)
+
+
+def induced(g, s):
+    """g[s] relabelled onto 0..|s|-1 in ascending id order, plus the ids."""
+    ids = sorted(s)
+    local = {v: i for i, v in enumerate(ids)}
+    edges, weights = [], []
+    for idx, (u, v) in enumerate(g.edges):
+        if u in local and v in local:
+            edges.append((local[u], local[v]))
+            weights.append(g.weights[idx] if g.weighted else 1)
+    return Graph(len(ids), edges, weights if g.weighted else None), ids
 
 
 def alg1_reference(g, k, density_log=None):

@@ -48,3 +48,19 @@ def graphs_with_subset(draw, min_n=3, max_n=10):
     s = tuple(sorted(draw(st.permutations(range(g.n)))[:size]))
     j = draw(st.integers(1, g.n - size))
     return g, s, j
+
+
+@st.composite
+def simple_graphs(draw, min_n=1, max_n=14, weighted=False, max_w=4):
+    """Any simple graph, connected or not: each vertex pair an edge or not."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, keep in zip(pairs, draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    )) if keep]
+    if not weighted:
+        return Graph(n, edges)
+    ws = draw(
+        st.lists(st.integers(0, max_w), min_size=len(edges), max_size=len(edges))
+    )
+    return Graph(n, edges, ws)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import densek.graph
 from densek import load_edge_list
 from densek.cli import main
 
@@ -19,6 +20,16 @@ def k4p_file(tmp_path):
     target = tmp_path / "k4p.edges"
     target.write_text(K4P_TEXT)
     return target
+
+
+@pytest.fixture
+def no_graph_built(monkeypatch):
+    """Fail any Graph construction during the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph was built")
+
+    monkeypatch.setattr(densek.graph, "Graph", refuse)
 
 
 def run_json(capsys, argv):
@@ -132,6 +143,27 @@ class TestSolveErrors:
         assert "line 2: vertex id 1 out of range" in err
         assert "n=0" in err
 
+    @pytest.mark.parametrize("text, n, m", [
+        ("50 0\n", 50, 0),
+        ("5 3\n0 1\n1 2\n2 3\n", 5, 3),
+    ])
+    def test_more_vertices_than_edges_plus_one(
+        self, capsys, tmp_path, no_graph_built, text, n, m
+    ):
+        # no connected graph fits the header; nothing per-vertex is allocated
+        target = tmp_path / "sparse.edges"
+        target.write_text(text)
+        assert main(["solve", "--input", str(target), "--k", "3"]) == 4
+        err = capsys.readouterr().err
+        assert f"n={n}" in err and f"m={m}" in err
+
+    def test_tree_header_is_accepted(self, capsys, tmp_path):
+        target = tmp_path / "path.edges"
+        target.write_text("4 3\n0 1\n1 2\n2 3\n")
+        code, report = run_json(capsys, ["solve", "--input", str(target), "--k", "3"])
+        assert code == 0
+        assert report["best"]["vertices"] == [0, 1, 2]
+
     def test_weighted_mismatch(self, capsys, tmp_path):
         target = tmp_path / "w.edges"
         target.write_text("3 2 weighted\n0 1 5\n1 2 1\n")
@@ -163,6 +195,16 @@ class TestOracleCommand:
         )
         assert code == 0
         assert report["density"]["num"] == 2
+
+    def test_disconnected_header_still_accepted(self, capsys, tmp_path):
+        target = tmp_path / "sparse.edges"
+        target.write_text("4 1\n0 1\n")
+        code, report = run_json(
+            capsys,
+            ["oracle", "--input", str(target), "--k", "2", "--no-connected"],
+        )
+        assert code == 0
+        assert report["vertices"] == [0, 1]
 
     def test_size_guard_exit_code(self, tmp_path):
         n = 25
@@ -322,3 +364,13 @@ class TestBench:
         assert main(["bench", "--corpus", str(corpus),
                      "--out", str(tmp_path / "x.csv")]) == 4
         assert "--k" in capsys.readouterr().err
+
+    def test_more_vertices_than_edges_plus_one(self, capsys, tmp_path, no_graph_built):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "sparse.edges").write_text("50 0\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "3",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "n=50" in err and "m=0" in err

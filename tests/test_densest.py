@@ -15,10 +15,12 @@ from densek import (
     has_subgraph_denser_than,
     is_connected,
 )
+import densek.densest
 from helpers import complete, connected_corpus, densest_union, k4p, path, star
-from helpers import twice, weighted_version
+from helpers import densest_subgraph_reference, has_subgraph_denser_than_reference
+from helpers import induced, twice, weighted_version
 from helpers import two_triangles_bridged, two_triangles_path3
-from strategies import connected_graphs
+from strategies import connected_graphs, simple_graphs
 
 
 class TestKnownInstances:
@@ -199,6 +201,109 @@ class TestAgainstOracle:
         core = densest_union(g)
         expected = core + tuple(v + g.n for v in core)
         assert densest_subgraph(twice(g)).subgraph == expected
+
+
+def small_graphs():
+    return st.one_of(simple_graphs(max_n=14), simple_graphs(max_n=14, weighted=True))
+
+
+@st.composite
+def graph_subset_thresholds(draw):
+    """(g, s, thresholds): a nonempty vertex set s of g, and thresholds 0,
+    the densities of random subsets of s, and those densities +-1/n**2."""
+    g = draw(small_graphs())
+    s = sorted(draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    thresholds = {Fraction(0)}
+    step = Fraction(1, g.n**2)
+    for _ in range(draw(st.integers(1, 4))):
+        sub = draw(st.sets(st.sampled_from(s), min_size=1))
+        d = density(g, sub)
+        thresholds.update(t for t in (d - step, d, d + step) if t >= 0)
+    return g, s, sorted(thresholds)
+
+
+class TestAgainstReference:
+    """The network without M, run within a vertex mask, against the whole-
+    graph network with M (tests/helpers.py keeps the old code verbatim)."""
+
+    @given(graph_subset_thresholds())
+    def test_threshold_queries_match(self, case):
+        g, _, thresholds = case
+        for t in thresholds:
+            expected = has_subgraph_denser_than_reference(g, t)
+            assert has_subgraph_denser_than(g, t) == expected
+
+    @given(graph_subset_thresholds())
+    def test_masked_queries_match_the_induced_graph(self, case):
+        g, s, thresholds = case
+        h, ids = induced(g, s)
+        for t in thresholds:
+            found = has_subgraph_denser_than_reference(h, t)
+            expected = None if found is None else tuple(ids[i] for i in found)
+            assert has_subgraph_denser_than(g, t, within=s) == expected
+
+    @given(small_graphs())
+    def test_densest_subgraph_matches(self, g):
+        try:
+            expected = densest_subgraph_reference(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                densest_subgraph(g)
+        else:
+            assert densest_subgraph(g) == expected
+
+    def test_flow_undoes_part_of_a_presaturated_path(self):
+        # found by random search, rarer than the draws above reach: the max
+        # flow must push back over an edge on which the network build has
+        # already routed excess to a deficit vertex
+        g = Graph(10, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 5), (2, 7), (3, 4),
+                       (4, 6), (5, 7), (8, 9)], [1, 2, 0, 2, 4, 4, 4, 0, 2, 2])
+        for t in (Fraction(32, 7), Fraction(3207, 700)):
+            assert has_subgraph_denser_than_reference(g, t) == (0, 2, 3, 4, 5, 7)
+            assert has_subgraph_denser_than(g, t) == (0, 2, 3, 4, 5, 7)
+
+    def test_each_flow_runs_within_the_previous_witness(self, monkeypatch):
+        # the loop calls the module global, so a tracer wrapped around it
+        # sees every flow; the threshold-0 witness is computed directly.
+        # K4 with a tail 3-4-5, a zero-weight edge 5-6 and isolated vertex 7
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
+                      (4, 5), (5, 6)], [1, 1, 1, 1, 1, 1, 1, 1, 0])
+        calls = []
+        real = densek.densest.has_subgraph_denser_than
+
+        def spy(g, threshold, within=None):
+            found = real(g, threshold, within=within)
+            calls.append((tuple(within), threshold, found))
+            return found
+
+        monkeypatch.setattr(densek.densest, "has_subgraph_denser_than", spy)
+        result = densest_subgraph(g)
+        assert calls[0][:2] == ((0, 1, 2, 3, 4, 5), Fraction(8, 3))
+        assert len(calls) == 2
+        for (within, _, found), (nested, _, _) in zip(calls, calls[1:]):
+            assert nested == found and set(found) <= set(within)
+        assert calls[-1] == (result.subgraph, result.density, None)
+        assert result == densest_subgraph_reference(g)
+
+
+class TestWithinMask:
+    def test_unknown_vertex_rejected(self):
+        g = k4p()
+        for bad in (-1, g.n):
+            with pytest.raises(ValueError, match=f"unknown vertex {bad}"):
+                has_subgraph_denser_than(g, 1, within=[0, 1, bad])
+
+    def test_empty_mask_has_no_witness(self):
+        assert has_subgraph_denser_than(k4p(), 0, within=[]) is None
+        assert has_subgraph_denser_than(k4p(), 1, within=()) is None
+
+    def test_mask_excludes_the_clique(self):
+        # without 0 the rest is a triangle plus a leaf: density 2, tied with
+        # the triangle, so only a threshold below 2 finds the whole mask
+        g = k4p()
+        assert has_subgraph_denser_than(g, 2, within=range(g.n)) == (0, 1, 2, 3)
+        assert has_subgraph_denser_than(g, Fraction(3, 2), within=[1, 2, 3, 4]) == (1, 2, 3, 4)
+        assert has_subgraph_denser_than(g, 2, within=[1, 2, 3, 4]) is None
 
 
 def test_connected_shortcut_matches_full_result():

@@ -3,7 +3,7 @@
 Library layout:
   graph       immutable Graph, exact density, attachment/expansion primitives
   densest     exact densest subgraph: nested Dinkelbach flows on Goldberg's network
-  algorithms  the approximation suite and the combined selector
+  algorithms  the approximation suite, its registry and dispatch, the combined selector
   oracle      brute-force exact optima for small instances
   generators  adversarial and random instance families
   cli         the `densek` command line tool
@@ -23,7 +23,6 @@ from .algorithms import (
     prc2,
     run_all_algorithms,
     run_named_algorithm,
-    walk2_counts,
     weighted_greedy,
 )
 from .densest import (
@@ -46,7 +45,6 @@ from .graph import (
     EdgeListError,
     Graph,
     components,
-    count_edges_between,
     cut_vertices,
     densest_component_after,
     density,
@@ -54,13 +52,12 @@ from .graph import (
     format_edge_list,
     induced_weight,
     is_connected,
-    is_removable,
     j_attachment,
     load_edge_list,
     parse_edge_list,
     save_edge_list,
 )
-from .oracle import OracleLimitError, OracleResult, brute_densest, brute_k, gap_ratio
+from .oracle import OracleLimitError, OracleResult, brute_densest, brute_k
 
 __version__ = "0.1.0"
 
@@ -83,7 +80,6 @@ __all__ = [
     "brute_densest",
     "brute_k",
     "components",
-    "count_edges_between",
     "cut_vertices",
     "densest_component_after",
     "densest_connected_subgraph",
@@ -93,13 +89,11 @@ __all__ = [
     "example1b",
     "expand_to_k",
     "format_edge_list",
-    "gap_ratio",
     "gnp",
     "has_subgraph_denser_than",
     "highest_degree_vertices",
     "induced_weight",
     "is_connected",
-    "is_removable",
     "j_attachment",
     "load_edge_list",
     "load_sidecar",
@@ -111,6 +105,5 @@ __all__ = [
     "run_named_algorithm",
     "save_edge_list",
     "save_instance",
-    "walk2_counts",
     "weighted_greedy",
 ]

@@ -35,7 +35,24 @@ ALG4 = "ALG4"
 HUB = "HUB"
 WGREEDY = "WGREEDY"
 COMBINED = "COMBINED"
-_TAGS = frozenset({ALG1, ALG3, ALG4, HUB, WGREEDY, COMBINED})
+
+# The one registry of the suite, in run order: CLI name -> (solution tag,
+# accepts weighted graphs, function name). Every name list of the package
+# and the CLI derives from it. It names each function instead of holding it,
+# so run_named_algorithm looks the function up in this module at call time
+# and a function patched into the module is the one that runs.
+ALGORITHMS = {
+    "alg1": (ALG1, False, "alg1"),
+    "alg3": (ALG3, False, "alg3"),
+    "alg4": (ALG4, False, "alg4"),
+    "hub": (HUB, False, "alg5_hub"),
+    "wgreedy": (WGREEDY, True, "weighted_greedy"),
+}
+_TAGS = frozenset(tag for tag, _, _ in ALGORITHMS.values()) | {COMBINED}
+
+
+class AlgorithmMismatchError(ValueError):
+    """A weighted graph was paired with an unweighted-only algorithm."""
 
 
 @dataclass(frozen=True)
@@ -46,18 +63,6 @@ class Solution:
     density: Fraction
     algorithm: str
     k: int
-
-    def as_record(self, elapsed_ms: float | None = None) -> dict:
-        record = {
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "vertices": list(self.vertices),
-            "density_num": self.density.numerator,
-            "density_den": self.density.denominator,
-        }
-        if elapsed_ms is not None:
-            record["elapsed_ms"] = elapsed_ms
-        return record
 
 
 def _make_solution(g: Graph, vertices: Iterable[int], tag: str, k: int) -> Solution:
@@ -308,20 +313,15 @@ def alg1(
 def alg3(
     g: Graph,
     k: int,
-    d: Iterable[int] | None = None,
     *,
     expansion_log: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
 ) -> Solution:
     """Start from a densest connected subgraph; expand or shrink it to k.
 
-    d, when given, must be a connected vertex set of maximum density (it is
-    recomputed otherwise). A maximizer has no removable vertex, so shrinking
-    can delegate to prc1.
+    A maximizer has no removable vertex, so shrinking can delegate to prc1.
     """
     _check_even_input(g, k)
-    if d is None:
-        d = densest_connected_subgraph(g)
-    dense = tuple(sorted(set(d)))
+    dense = densest_connected_subgraph(g)
     if len(dense) <= k:
         out = expand_to_k(g, dense, k)
         if expansion_log is not None:
@@ -366,26 +366,6 @@ def alg4(
     return _make_solution(g, out, ALG4, k)
 
 
-def walk2_counts(
-    g: Graph, excluded: Iterable[int] = ()
-) -> dict[tuple[int, int], int]:
-    """Two-step walk counts between distinct vertex pairs, midpoints included.
-
-    All three vertices of each counted walk must survive the exclusion.
-    Keys are (u, v) with u < v; absent keys mean zero walks.
-    """
-    banned = set(excluded)
-    counts: dict[tuple[int, int], int] = {}
-    for mid in range(g.n):
-        if mid in banned:
-            continue
-        around = [u for u in g.neighbors(mid) if u not in banned]
-        for i, u in enumerate(around):
-            for v in around[i + 1 :]:
-                counts[(u, v)] = counts.get((u, v), 0) + 1
-    return counts
-
-
 def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
     # The first count ids in (-key, id) order: stable sorts by id, then by
     # key descending. Without a sort when every id is taken anyway.
@@ -406,9 +386,9 @@ def alg5_hub(
     Candidate hubs are the vertices outside the k/2 highest-degree set H,
     scanned in ascending id. A hub takes up to k/2-1 partners, ranked by
     their count of two-step walks from the hub through middle vertices
-    outside H (walk2_counts with H excluded), and up to k/2 neighbours
-    outside H, ranked by their number of neighbours among the partners;
-    both rankings break ties toward the smaller id. The hub's component of
+    outside H, and up to k/2 neighbours outside H, ranked by their number
+    of neighbours among the partners; both rankings break ties toward the
+    smaller id. The hub's component of
     that group is grown to k vertices by expand_to_k's breadth-first search
     in the whole graph. The candidate with the most induced edges wins;
     ties keep the earliest hub. Per hub the work is local: its two-step
@@ -426,7 +406,7 @@ def alg5_hub(
     best = None
     best_weight = -1
     for hub in rest:
-        # walk2_counts(g, hubs) restricted to pairs (hub, v), counted locally.
+        # Walks hub - mid - v with mid and v outside H, counted locally.
         walks = Counter(chain.from_iterable(map(free.__getitem__, free[hub])))
         del walks[hub]
         partners = _top(walks, half - 1, walks.__getitem__)
@@ -489,59 +469,54 @@ def _attach_best_vertex(g: Graph, vertices: tuple[int, ...]) -> int:
     return best
 
 
-def _run_maybe_odd(
-    g: Graph, k: int, tag: str, runner: Callable[[int], Solution]
-) -> Solution:
-    # Odd budgets run the even core at k-1, then add the best-attached vertex.
+def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:
+    """Run one algorithm by its CLI name: the package's one dispatch path.
+
+    Checks the name, 3 <= k <= n, and that an unweighted-only algorithm
+    gets an unweighted graph (AlgorithmMismatchError otherwise). Those
+    algorithms take even k; an odd k runs the even core at k-1, then adds
+    the outside vertex with the most neighbours in it.
+    """
+    if name not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {name!r}; pick from {tuple(ALGORITHMS)}"
+        )
+    if not 3 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 3..{g.n}")
+    tag, accepts_weighted, function = ALGORITHMS[name]
+    run = globals()[function]
+    if accepts_weighted:
+        return run(g, k)
+    if g.weighted:
+        raise AlgorithmMismatchError(
+            f"{name} accepts unweighted graphs only; this graph is weighted "
+            f"(use wgreedy)"
+        )
     if k % 2 == 0:
-        return runner(k)
-    base = runner(k - 1)
+        return run(g, k)
+    base = run(g, k - 1)
     extra = _attach_best_vertex(g, base.vertices)
     return _make_solution(g, base.vertices + (extra,), tag, k)
 
 
-def run_all_algorithms(g: Graph, k: int) -> list[Solution]:
-    """Every algorithm applicable to the instance, one Solution each.
+def suite_names(g: Graph) -> list[str]:
+    """CLI names of the algorithms whose weighted flag matches the graph.
 
-    Weighted graphs run the greedy star algorithm alone; unweighted graphs
-    run the peeling, densest-core, high-degree and hub algorithms.
+    That is the greedy alone on weighted graphs, and the peeling,
+    densest-core, high-degree and hub algorithms on unweighted ones.
     """
-    if not 3 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 3..{g.n}")
-    if not is_connected(g):
-        raise ValueError("input graph must be connected")
-    if g.weighted:
-        return [weighted_greedy(g, k)]
-    dense = densest_connected_subgraph(g)
-    runners: list[tuple[str, Callable[[int], Solution]]] = [
-        (ALG1, lambda kk: alg1(g, kk)),
-        (ALG3, lambda kk: alg3(g, kk, dense)),
-        (ALG4, lambda kk: alg4(g, kk)),
-        (HUB, lambda kk: alg5_hub(g, kk)),
-    ]
-    return [_run_maybe_odd(g, k, tag, runner) for tag, runner in runners]
+    return [name for name, (_, weighted, _) in ALGORITHMS.items()
+            if weighted == g.weighted]
 
 
-_NAMED = ("alg1", "alg3", "alg4", "hub", "wgreedy")
+def run_all_algorithms(g: Graph, k: int) -> list[Solution]:
+    """One Solution per algorithm of suite_names(g), in registry order."""
+    return [run_named_algorithm(g, k, name) for name in suite_names(g)]
 
 
-def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:
-    """Run one algorithm by its CLI name, with the odd-k wrapper applied."""
-    if name not in _NAMED:
-        raise ValueError(f"unknown algorithm {name!r}; pick from {_NAMED}")
-    if not 3 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 3..{g.n}")
-    if name == "wgreedy":
-        return weighted_greedy(g, k)
-    if g.weighted:
-        raise ValueError(f"{name} accepts unweighted graphs only")
-    if name == "alg1":
-        return _run_maybe_odd(g, k, ALG1, lambda kk: alg1(g, kk))
-    if name == "alg3":
-        return _run_maybe_odd(g, k, ALG3, lambda kk: alg3(g, kk))
-    if name == "alg4":
-        return _run_maybe_odd(g, k, ALG4, lambda kk: alg4(g, kk))
-    return _run_maybe_odd(g, k, HUB, lambda kk: alg5_hub(g, kk))
+def densest_solution(solutions: Iterable[Solution]) -> Solution:
+    """The densest of the solutions; ties keep the earliest."""
+    return max(solutions, key=lambda sol: sol.density)
 
 
 def best_connected_k_subgraph(g: Graph, k: int) -> Solution:
@@ -549,11 +524,7 @@ def best_connected_k_subgraph(g: Graph, k: int) -> Solution:
 
     Ties keep the earliest algorithm in the fixed run order.
     """
-    solutions = run_all_algorithms(g, k)
-    best = solutions[0]
-    for sol in solutions[1:]:
-        if sol.density > best.density:
-            best = sol
+    best = densest_solution(run_all_algorithms(g, k))
     return Solution(
         vertices=best.vertices, density=best.density, algorithm=COMBINED, k=k
     )

@@ -21,7 +21,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .algorithms import run_named_algorithm
+from .algorithms import (
+    ALGORITHMS,
+    AlgorithmMismatchError,
+    densest_solution,
+    run_named_algorithm,
+    suite_names,
+)
 from .generators import (
     example1a,
     example1b,
@@ -41,13 +47,6 @@ EXIT_MISMATCH = 5
 EXIT_ORACLE = 6
 EXIT_IO = 7
 
-_UNWEIGHTED_ONLY = ("alg1", "alg3", "alg4", "hub")
-_ALL_NAMES = _UNWEIGHTED_ONLY + ("wgreedy",)
-
-
-class AlgorithmMismatchError(ValueError):
-    """A weighted instance was paired with an unweighted-only algorithm."""
-
 
 def _density_json(value: Fraction) -> dict:
     return {
@@ -63,18 +62,15 @@ def _entry(solution, elapsed_ms: float) -> dict:
         "k": solution.k,
         "vertices": list(solution.vertices),
         "density": _density_json(solution.density),
-        "elapsed_ms": round(elapsed_ms, 3),
+        "elapsed_ms": elapsed_ms,
     }
 
 
-def _timed_run(g: Graph, k: int, name: str) -> dict:
+def _timed_run(g: Graph, k: int, name: str):
+    """The Solution of one named algorithm and its time in milliseconds."""
     start = time.perf_counter()
     solution = run_named_algorithm(g, k, name)
-    return _entry(solution, (time.perf_counter() - start) * 1000.0)
-
-
-def _entry_density(entry: dict) -> Fraction:
-    return Fraction(entry["density"]["num"], entry["density"]["den"])
+    return solution, round((time.perf_counter() - start) * 1000.0, 3)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,45 +80,30 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _solve_entries(g: Graph, k: int, algo: str) -> list[dict]:
-    if algo == "auto":
-        names = ["wgreedy"] if g.weighted else list(_UNWEIGHTED_ONLY)
-    else:
-        if g.weighted and algo in _UNWEIGHTED_ONLY:
-            raise AlgorithmMismatchError(
-                f"{algo} needs an unweighted instance; this file is weighted "
-                f"(use --algo wgreedy or --algo auto)"
-            )
-        names = [algo]
-    return [_timed_run(g, k, name) for name in names]
-
-
-def _report_csv(entries: list[dict], g: Graph) -> str:
+def _report_csv(runs: list, g: Graph) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(
         ["algorithm", "k", "n", "m", "density_num", "density_den", "density",
          "elapsed_ms", "vertices"]
     )
-    for entry in entries:
-        dens = _entry_density(entry)
+    for sol, elapsed_ms in runs:
+        dens = sol.density
         writer.writerow(
-            [entry["algorithm"], entry["k"], g.n, g.m,
+            [sol.algorithm, sol.k, g.n, g.m,
              dens.numerator, dens.denominator, float(dens),
-             entry["elapsed_ms"], " ".join(map(str, entry["vertices"]))]
+             elapsed_ms, " ".join(map(str, sol.vertices))]
         )
     return buffer.getvalue()
 
 
 def cmd_solve(args) -> int:
     g = load_edge_list(args.input, connectable=True)
-    if not 3 <= args.k <= g.n:
-        raise ValueError(f"k={args.k} out of range 3..{g.n}")
-    entries = _solve_entries(g, args.k, args.algo)
-    best = entries[0]
-    for entry in entries[1:]:
-        if _entry_density(entry) > _entry_density(best):
-            best = entry
+    names = suite_names(g) if args.algo == "auto" else [args.algo]
+    runs = [_timed_run(g, args.k, name) for name in names]
+    solutions = [sol for sol, _ in runs]
+    best = densest_solution(solutions)
+    entries = [_entry(sol, elapsed_ms) for sol, elapsed_ms in runs]
     report = {
         "instance": {
             "path": args.input,
@@ -133,7 +114,7 @@ def cmd_solve(args) -> int:
         "k": args.k,
         "algo": args.algo,
         "entries": entries,
-        "best": best,
+        "best": entries[solutions.index(best)],
     }
     if args.oracle:
         exact = brute_k(g, args.k, connected=True, limit=args.oracle_limit)
@@ -142,13 +123,12 @@ def cmd_solve(args) -> int:
             "density": _density_json(exact.best_density),
             "connected": True,
         }
-        best_density = _entry_density(best)
-        if best_density > 0:
-            report["ratio"] = _density_json(exact.best_density / best_density)
+        if best.density > 0:
+            report["ratio"] = _density_json(exact.best_density / best.density)
         else:
             report["ratio"] = None
     if args.format == "csv":
-        _emit(_report_csv(entries, g), args.out)
+        _emit(_report_csv(runs, g), args.out)
     else:
         _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
@@ -236,7 +216,6 @@ def cmd_bench(args) -> int:
     rows = []
     failed = 0
     for path in files:
-        g = load_edge_list(path, connectable=True)
         sidecar = load_sidecar(path)
         known_opt = None
         if sidecar is not None and sidecar.get("known_opt_num") is not None:
@@ -244,28 +223,39 @@ def cmd_bench(args) -> int:
                 sidecar["known_opt_num"], sidecar["known_opt_den"]
             )
         family = sidecar.get("family", "") if sidecar else ""
-        names = ["wgreedy"] if g.weighted else list(_ALL_NAMES)
+        # A file that fails to load (malformed, or n > m + 1) fails its own
+        # row only, as a failed solve does below.
+        try:
+            g = load_edge_list(path, connectable=True)
+        except ValueError as exc:
+            failed += 1
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            rows.append([path.name, family] + [""] * 9 + [str(exc)])
+            continue
+        # Every algorithm that accepts the graph: all five on unweighted input.
+        names = [name for name, (_, weighted, _) in ALGORITHMS.items()
+                 if weighted or not g.weighted]
         for k in _bench_ks(args, sidecar):
             for name in names:
                 # A failed solve (k > n, say) fails its own row only, tagged
-                # as its solution would be (hub -> HUB).
+                # as its solution would be.
                 try:
-                    entry = _timed_run(g, k, name)
+                    sol, elapsed_ms = _timed_run(g, k, name)
                 except ValueError as exc:
                     failed += 1
                     rows.append(
-                        [path.name, family, name.upper(), k, g.n, g.m,
+                        [path.name, family, ALGORITHMS[name][0], k, g.n, g.m,
                          "", "", "", "", "", str(exc)]
                     )
                     continue
-                dens = _entry_density(entry)
+                dens = sol.density
                 ratio = ""
                 if known_opt is not None and dens > 0:
                     ratio = float(known_opt / dens)
                 rows.append(
-                    [path.name, family, entry["algorithm"], k, g.n, g.m,
+                    [path.name, family, sol.algorithm, k, g.n, g.m,
                      dens.numerator, dens.denominator, float(dens),
-                     ratio, entry["elapsed_ms"], "ok"]
+                     ratio, elapsed_ms, "ok"]
                 )
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -295,9 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, required=True, help="subgraph size, 3..n")
     solve.add_argument(
         "--algo",
-        choices=("auto",) + _ALL_NAMES,
+        choices=("auto",) + tuple(ALGORITHMS),
         default="auto",
-        help="one algorithm, or auto for every applicable one",
+        help="one algorithm, or auto: wgreedy alone on a weighted file, every "
+        "unweighted-only algorithm otherwise",
     )
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument(
@@ -336,7 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    bench = sub.add_parser("bench", help="run the suite over a corpus into CSV")
+    bench = sub.add_parser(
+        "bench",
+        help="run every algorithm that accepts each instance (wgreedy alone "
+        "on weighted files) over a corpus into CSV",
+    )
     bench.add_argument("--corpus", required=True, help="directory of *.edges files")
     bench.add_argument(
         "--k", default=None, help="comma-separated k values; default sidecar k"

@@ -30,7 +30,7 @@ class Graph:
     package (BFS visits neighbors in ascending id).
     """
 
-    __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_wdeg")
+    __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_wdeg", "_connected")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class Graph:
             wdeg[u] += w
             wdeg[v] += w
         self._wdeg = tuple(wdeg)
+        self._connected = None  # is_connected(self), computed on first use
 
     @property
     def m(self) -> int:
@@ -163,34 +164,6 @@ def density(g: Graph, s: Iterable[int] | None = None) -> Fraction:
     return Fraction(2 * induced_weight(g, members), len(members))
 
 
-def count_edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one end in a and the other in b (disjoint sets)."""
-    aset, bset = set(a), set(b)
-    if aset & bset:
-        raise ValueError("edge boundary requires disjoint sets")
-    return sum(1 for v in aset for u in g.neighbors(v) if u in bset)
-
-
-def is_removable(g: Graph, v: int, within: Iterable[int] | None = None) -> bool:
-    """True iff deleting v strictly raises the density, i.e. d(v) < sigma/2.
-
-    Both sides are compared by integer cross-multiplication:
-    d(v) * |V| < w(E), using weighted degrees on weighted graphs.
-    """
-    members = _member_set(g, within)
-    if v not in members:
-        raise ValueError(f"vertex {v} not in the graph")
-    if len(members) < 2:
-        raise ValueError("removability needs at least two vertices")
-    if within is None:
-        deg = g.weighted_degree(v)
-        total = g.total_weight
-    else:
-        deg = sum(g.edge_weight(v, u) for u in g.neighbors(v) if u in members)
-        total = induced_weight(g, members)
-    return deg * len(members) < total
-
-
 def components(g: Graph, s: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     """Connected components of g[s], each sorted, ordered by smallest member."""
     members = _member_set(g, s)
@@ -214,6 +187,15 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[tuple[int, ...]
 
 
 def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
+    """Whether g[s] (default: all of g) is nonempty and connected.
+
+    The answer for the whole graph is kept on the immutable Graph, so every
+    solver can check its input without a search per check.
+    """
+    if s is None:
+        if g._connected is None:
+            g._connected = g.n > 0 and len(components(g)) == 1
+        return g._connected
     members = _member_set(g, s)
     if not members:
         return False

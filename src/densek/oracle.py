@@ -151,11 +151,3 @@ def brute_densest(g: Graph, limit: int | None = None) -> OracleResult:
         connected_required=False,
     )
 
-
-def gap_ratio(g: Graph, k: int, limit: int | None = None) -> Fraction:
-    """Exact ratio between unconstrained and connected optimal k-densities."""
-    unconstrained = brute_k(g, k, connected=False, limit=limit)
-    connected = brute_k(g, k, connected=True, limit=limit)
-    if connected.best_density == 0:
-        raise ValueError("connected optimum has zero density; ratio undefined")
-    return unconstrained.best_density / connected.best_density

@@ -4,13 +4,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from densek.algorithms import (
-    Solution,
-    highest_degree_vertices,
-    prc1,
-    prc2,
-    walk2_counts,
-)
+from densek.algorithms import Solution, highest_degree_vertices, prc1, prc2
 from densek.densest import DensestResult
 from densek.generators import Xorshift64Star, gnp
 from densek.graph import (
@@ -22,6 +16,7 @@ from densek.graph import (
     expand_to_k,
     induced_weight,
 )
+from densek.oracle import brute_k
 
 
 def path(n):
@@ -124,6 +119,61 @@ def densest_union(g):
             elif d == best:
                 union.update(s)
     return tuple(sorted(union))
+
+
+def count_edges_between(g, a, b):
+    """Number of edges with one end in a and the other in b (disjoint sets)."""
+    aset, bset = set(a), set(b)
+    if aset & bset:
+        raise ValueError("edge boundary requires disjoint sets")
+    return sum(1 for v in aset for u in g.neighbors(v) if u in bset)
+
+
+def is_removable(g, v, within=None):
+    """True iff deleting v strictly raises the density, i.e. d(v) < sigma/2.
+
+    Both sides are compared by integer cross-multiplication:
+    d(v) * |V| < w(E), using weighted degrees on weighted graphs.
+    """
+    members = set(range(g.n)) if within is None else set(within)
+    if v not in members:
+        raise ValueError(f"vertex {v} not in the graph")
+    if len(members) < 2:
+        raise ValueError("removability needs at least two vertices")
+    if within is None:
+        deg = g.weighted_degree(v)
+        total = g.total_weight
+    else:
+        deg = sum(g.edge_weight(v, u) for u in g.neighbors(v) if u in members)
+        total = induced_weight(g, members)
+    return deg * len(members) < total
+
+
+def walk2_counts(g, excluded=()):
+    """Two-step walk counts between distinct vertex pairs, midpoints included.
+
+    All three vertices of each counted walk must survive the exclusion.
+    Keys are (u, v) with u < v; absent keys mean zero walks.
+    """
+    banned = set(excluded)
+    counts = {}
+    for mid in range(g.n):
+        if mid in banned:
+            continue
+        around = [u for u in g.neighbors(mid) if u not in banned]
+        for i, u in enumerate(around):
+            for v in around[i + 1 :]:
+                counts[(u, v)] = counts.get((u, v), 0) + 1
+    return counts
+
+
+def gap_ratio(g, k, limit=None):
+    """Exact ratio between unconstrained and connected optimal k-densities."""
+    unconstrained = brute_k(g, k, connected=False, limit=limit)
+    connected = brute_k(g, k, connected=True, limit=limit)
+    if connected.best_density == 0:
+        raise ValueError("connected optimum has zero density; ratio undefined")
+    return unconstrained.best_density / connected.best_density
 
 
 class FlowNetwork:

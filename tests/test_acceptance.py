@@ -21,14 +21,12 @@ from densek import (
     best_connected_k_subgraph,
     brute_densest,
     brute_k,
-    count_edges_between,
     densest_subgraph,
     density,
     example1a,
     example1b,
     highest_degree_vertices,
     is_connected,
-    is_removable,
     j_attachment,
     run_all_algorithms,
     run_named_algorithm,
@@ -38,6 +36,8 @@ from helpers import (
     assert_valid_solution,
     barbell,
     connected_corpus,
+    count_edges_between,
+    is_removable,
     k4p,
     weighted_version,
 )

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import densek.algorithms
+import densek.cli
+import densek.graph
 from densek import (
     Graph,
     Solution,
@@ -17,16 +20,15 @@ from densek import (
     best_connected_k_subgraph,
     brute_k,
     density,
-    densest_connected_subgraph,
+    format_edge_list,
+    gnp,
     highest_degree_vertices,
     induced_weight,
     is_connected,
-    is_removable,
     prc1,
     prc2,
     run_all_algorithms,
     run_named_algorithm,
-    walk2_counts,
     weighted_greedy,
 )
 from helpers import (
@@ -37,10 +39,12 @@ from helpers import (
     complete,
     connected_corpus,
     cycle,
+    is_removable,
     k4p,
     path,
     star,
     two_triangles_path3,
+    walk2_counts,
     weighted_greedy_reference,
     weighted_version,
 )
@@ -306,11 +310,6 @@ class TestAlg3:
         assert sol.vertices == (0, 1)
         assert sol.density == 1
 
-    def test_accepts_a_precomputed_core(self):
-        g = K5_WITH_TAIL
-        core = densest_connected_subgraph(g)
-        assert alg3(g, 6, core) == alg3(g, 6)
-
     def test_expansion_keeps_density_share_on_corpus(self):
         # expanding a connected set to k keeps all its edges, so the
         # density can drop by at most the size ratio
@@ -519,6 +518,16 @@ class TestOddKAndSelectors:
         assert best.vertices == (0, 1, 2)
         assert best.density == 2
 
+    def test_ties_keep_the_earliest_algorithm(self):
+        # On the path 2-0-3-1 every answer at k=3 has density 4/3, but the
+        # hub scan, last in run order, picks other vertices than alg1.
+        g = Graph(4, [(0, 2), (0, 3), (1, 3)])
+        solutions = run_all_algorithms(g, 3)
+        assert {s.density for s in solutions} == {Fraction(4, 3)}
+        assert solutions[0].vertices == (0, 2, 3)
+        assert solutions[-1].vertices == (0, 1, 3)
+        assert best_connected_k_subgraph(g, 3).vertices == (0, 2, 3)
+
     def test_combined_never_below_any_single_algorithm(self):
         for g in connected_corpus(10, max_n=12, seed0=642):
             for k in (3, 4, 5):
@@ -562,22 +571,60 @@ class TestOddKAndSelectors:
         assert run_named_algorithm(k4p(), 3, "alg1").k == 3
 
 
+class TestDispatch:
+    def test_calls_reach_functions_patched_into_the_module(
+        self, monkeypatch, tmp_path
+    ):
+        # perfbench's tracer swaps module attributes; dispatch must see them
+        calls = []
+
+        def spy(name):
+            original = getattr(densek.algorithms, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(densek.algorithms, name, recorded)
+
+        spy("alg1")
+        spy("weighted_greedy")
+        weighted = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [2, 1, 1, 1])
+        run_named_algorithm(k4p(), 4, "alg1")
+        run_named_algorithm(weighted, 3, "wgreedy")
+        assert calls == ["alg1", "weighted_greedy"]
+        calls.clear()
+        best_connected_k_subgraph(k4p(), 4)
+        best_connected_k_subgraph(weighted, 3)
+        assert calls == ["alg1", "weighted_greedy"]
+        calls.clear()
+        for index, g in enumerate((k4p(), weighted)):
+            path = tmp_path / f"g{index}.edges"
+            path.write_text(format_edge_list(g))
+            argv = ["solve", "--input", str(path), "--k", "3",
+                    "--out", str(tmp_path / "report.json")]
+            assert densek.cli.main(argv) == 0
+        assert calls == ["alg1", "weighted_greedy"]
+
+    def test_whole_graph_connectivity_is_searched_once(self, monkeypatch):
+        # the Graph keeps its connectivity, so two solves search it once
+        g = gnp(40, 0.15, 3)
+        searched = []
+        components = densek.graph.components
+
+        def counting(h, s=None):
+            members = None if s is None else set(s)
+            if members is None or len(members) == h.n:
+                searched.append(h)
+            return components(h, members)
+
+        monkeypatch.setattr(densek.graph, "components", counting)
+        best_connected_k_subgraph(g, 4)
+        best_connected_k_subgraph(g, 5)
+        assert searched == [g]
+
+
 class TestSolutionRecords:
-    def test_record_fields(self):
-        sol = alg1(k4p(), 4)
-        record = sol.as_record()
-        assert record == {
-            "algorithm": "ALG1",
-            "k": 4,
-            "vertices": [0, 1, 2, 3],
-            "density_num": 3,
-            "density_den": 1,
-        }
-
-    def test_record_with_elapsed(self):
-        record = alg1(k4p(), 4).as_record(elapsed_ms=1.5)
-        assert record["elapsed_ms"] == 1.5
-
     def test_solutions_are_frozen(self):
         sol = alg1(k4p(), 4)
         with pytest.raises(AttributeError):

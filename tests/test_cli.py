@@ -105,6 +105,17 @@ class TestSolve:
         assert report["best"]["vertices"] == [0, 1, 2]
         assert report["best"]["density"]["num"] == 2
 
+    def test_best_keeps_the_earliest_of_tied_entries(self, capsys, tmp_path):
+        # every algorithm reaches density 4/3 on the path 2-0-3-1 at k=3
+        target = tmp_path / "tied.edges"
+        target.write_text("4 3\n0 2\n0 3\n1 3\n")
+        code, report = run_json(capsys, ["solve", "--input", str(target), "--k", "3"])
+        assert code == 0
+        assert {e["density"]["num"] for e in report["entries"]} == {4}
+        assert report["entries"][-1]["vertices"] == [0, 1, 3]
+        assert report["best"]["algorithm"] == "ALG1"
+        assert report["best"]["vertices"] == [0, 2, 3]
+
     def test_weighted_instance_runs_greedy_under_auto(self, capsys, tmp_path):
         target = tmp_path / "w.edges"
         target.write_text("4 4 weighted\n0 1 2\n1 2 1\n2 3 1\n0 3 1\n")
@@ -346,6 +357,30 @@ class TestBench:
             assert row[3] == "40"
             assert row[6:11] == ["", "", "", "", ""]
             assert "out of range" in row[-1]
+
+    @pytest.mark.parametrize("text, error", [
+        ("50 0\n", "n=50"),
+        ("3 2\n0 1\n0 two\n", "line 3"),
+    ])
+    def test_file_that_fails_to_load_keeps_its_row(
+        self, capsys, tmp_path, text, error
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        (corpus / "b.edges").write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "b.edges" in err and error in err
+        assert "1 of 6 solves failed" in err
+        rows = list(csv.reader(out.read_text().strip().splitlines()))
+        body = rows[1:]
+        assert [row[0] for row in body] == ["a.edges"] * 5 + ["b.edges"]
+        assert [row[-1] for row in body[:5]] == ["ok"] * 5
+        assert body[5][1:-1] == [""] * 10
+        assert error in body[5][-1]
 
     def test_missing_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path / "nope"),

@@ -7,7 +7,6 @@ from densek.graph import (
     EdgeListError,
     Graph,
     components,
-    count_edges_between,
     cut_vertices,
     densest_component_after,
     density,
@@ -15,13 +14,14 @@ from densek.graph import (
     format_edge_list,
     induced_weight,
     is_connected,
-    is_removable,
     j_attachment,
     parse_edge_list,
 )
 from helpers import (
     complete,
+    count_edges_between,
     cycle,
+    is_removable,
     k4p,
     path,
     star,

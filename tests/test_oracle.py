@@ -12,9 +12,8 @@ from densek import (
     density,
     example1a,
     example1b,
-    gap_ratio,
 )
-from helpers import complete, cycle, k4p, path, star
+from helpers import complete, cycle, gap_ratio, k4p, path, star
 
 
 class TestBruteK:

@@ -8,6 +8,7 @@ run in ascending id order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,6 @@ from .graph import (
     _bfs_fill,
     _member_set,
     components,
-    cut_vertices,
     densest_component_after,
     density,
     expand_to_k,
@@ -99,18 +99,57 @@ def _removable_in(view: set[int], deg: dict[int, int], edges: int) -> list[int]:
     return sorted(v for v in view if deg[v] * size < edges)
 
 
+def _is_cut_vertex(g: Graph, view: set[int], v: int) -> bool:
+    # Whether the connected view minus v falls apart, by a local search: one
+    # breadth-first search per in-view neighbour of v, with v removed, run in
+    # lockstep, each live group expanding one vertex per round. Searches that
+    # meet merge (union-find over search ids, frontiers joined). v is no cut
+    # vertex once one group is left, and is one as soon as a group runs out
+    # of frontier: that group has then found a whole component of view - v
+    # without the other groups' start vertices. A side of s vertices runs
+    # out within s rounds, so a cut vertex costs about deg(v) times its
+    # smallest side, not the view (the parallel search of Even and Shiloach,
+    # "An on-line edge-deletion problem", J. ACM 1981). A leaf needs none.
+    starts = [u for u in g.neighbors(v) if u in view]
+    if len(starts) < 2:
+        return False
+    owner = {u: i for i, u in enumerate(starts)}
+    owner[v] = -1
+    parent = list(range(len(starts)))
+    queues = [deque([u]) for u in starts]
+    groups = len(starts)
+    while True:
+        for i, queue in enumerate(queues):
+            if parent[i] != i:
+                continue
+            if not queue:
+                return True
+            for x in g.neighbors(queue.popleft()):
+                j = owner.get(x)
+                if j is None:
+                    if x in view:
+                        owner[x] = i
+                        queue.append(x)
+                    continue
+                if j < 0:
+                    continue
+                while parent[j] != j:
+                    j = parent[j]
+                if j == i:
+                    continue
+                parent[j] = i
+                queue.extend(queues[j])
+                queues[j] = None
+                groups -= 1
+                if groups == 1:
+                    return False
+
+
 def _first_non_cut(g: Graph, view: set[int], candidates: Iterable[int]) -> int | None:
     # First candidate, in the given order, that is not a cut vertex of the
-    # connected view (at least two vertices). A candidate with one neighbour
-    # in the view is a leaf and never a cut vertex; the articulation DFS runs
-    # at most once, and only when the scan reaches a higher-degree candidate.
-    articulation = None
+    # connected view (at least two vertices), each tested locally.
     for v in candidates:
-        if sum(1 for u in g.neighbors(v) if u in view) == 1:
-            return v
-        if articulation is None:
-            articulation = set(cut_vertices(g, within=view))
-        if v not in articulation:
+        if not _is_cut_vertex(g, view, v):
             return v
     return None
 
@@ -263,9 +302,14 @@ def alg1(
     """Peel removable non-cut vertices; recurse into large dense sides.
 
     Each step deletes the smallest-id vertex v with d(v)*|V| < |E| that is
-    not a cut vertex of the view. A candidate with one neighbour in the view
-    is a leaf and never a cut vertex, so the articulation points are computed
-    only in steps whose scan reaches a candidate of higher degree.
+    not a cut vertex of the view. Within a peeling phase |E|/|V| strictly
+    rises with each deletion and degrees only fall, so a removable vertex
+    stays removable until it is peeled: the removable vertices are kept in
+    an id-sorted list, fed from degree buckets as the threshold rises and
+    neighbours lose degree, and rebuilt only when a phase starts. A step
+    scans that list for the first vertex that is not a cut vertex, each
+    tested by a local search from its neighbours whose cost is bounded by
+    its degree times the smaller side; a leaf needs no search.
     When peeling stalls above k vertices, hand over to prc1 (no removable
     vertex left) or prc2 (all dense sides small). density_log, when given,
     receives one list per peeling phase holding the density after each step.
@@ -277,24 +321,46 @@ def alg1(
     while True:
         if density_log is not None:
             density_log.append([Fraction(2 * edges, len(view))])
-        while len(view) > k:
-            size = len(view)
-            pick = _first_non_cut(
-                g, view, (v for v in sorted(view) if deg[v] * size < edges)
-            )
+        size = len(view)
+        removable = _removable_in(view, deg, edges)
+        admitted = set(removable)
+        # `removable` is admitted: every vertex below degree `level`, the
+        # least degree d with d * size >= edges. The others wait in buckets
+        # by degree; a vertex joins a bucket at each degree it reaches, so a
+        # bucket entry not yet admitted has exactly that bucket's degree.
+        level = -(-edges // size)
+        buckets: dict[int, list[int]] = {}
+        for v in view:
+            if v not in admitted:
+                buckets.setdefault(deg[v], []).append(v)
+        while size > k:
+            pick = _first_non_cut(g, view, removable)
             if pick is None:
                 break
+            del removable[bisect_left(removable, pick)]
             view.remove(pick)
-            edges -= deg[pick]
+            size -= 1
+            edges -= deg.pop(pick)
             for u in g.neighbors(pick):
                 if u in view:
-                    deg[u] -= 1
-            del deg[pick]
+                    d = deg[u] = deg[u] - 1
+                    if u in admitted:
+                        continue
+                    if d < level:
+                        admitted.add(u)
+                        insort(removable, u)
+                    else:
+                        buckets.setdefault(d, []).append(u)
+            while level * size < edges:
+                for u in buckets.pop(level, ()):
+                    if u not in admitted:
+                        admitted.add(u)
+                        insort(removable, u)
+                level += 1
             if density_log is not None:
-                density_log[-1].append(Fraction(2 * edges, len(view)))
-        if len(view) == k:
+                density_log[-1].append(Fraction(2 * edges, size))
+        if size == k:
             return _make_solution(g, view, ALG1, k)
-        removable = _removable_in(view, deg, edges)
         if not removable:
             return _make_solution(g, prc1(g, k, within=view), ALG1, k)
         descend = None

@@ -36,8 +36,8 @@ from .generators import (
     planted,
     save_instance,
 )
-from .graph import EdgeListError, Graph, load_edge_list
-from .oracle import OracleLimitError, brute_k
+from .graph import EdgeListError, Graph, load_edge_list, load_header
+from .oracle import OracleLimitError, brute_k, check_brute_k
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,6 +135,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # brute_k's checks on the header's n first: a huge n is refused before
+    # any edge is read or any per-vertex list is built.
+    n, _, _ = load_header(args.input)
+    check_brute_k(n, args.k, args.oracle_limit)
     g = load_edge_list(args.input)
     exact = brute_k(g, args.k, connected=args.connected, limit=args.oracle_limit)
     report = {
@@ -196,9 +200,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_ks(args, sidecar: dict | None) -> list[int]:
-    if args.k is not None:
-        return [int(part) for part in str(args.k).split(",") if part]
+def _sidecar_k(sidecar: dict | None) -> list[int]:
     if sidecar is not None and sidecar.get("k") is not None:
         return [int(sidecar["k"])]
     raise ValueError(
@@ -213,20 +215,26 @@ def cmd_bench(args) -> int:
     files = sorted(corpus.glob("*.edges"))
     if not files:
         raise ValueError(f"corpus {corpus} holds no *.edges instances")
+    # --k holds for every file, so a malformed list fails the whole run.
+    given_ks = (None if args.k is None
+                else [int(part) for part in str(args.k).split(",") if part])
     rows = []
     failed = 0
     for path in files:
-        sidecar = load_sidecar(path)
-        known_opt = None
-        if sidecar is not None and sidecar.get("known_opt_num") is not None:
-            known_opt = Fraction(
-                sidecar["known_opt_num"], sidecar["known_opt_den"]
-            )
-        family = sidecar.get("family", "") if sidecar else ""
-        # A file that fails to load (malformed, or n > m + 1) fails its own
-        # row only, as a failed solve does below.
+        family = ""
+        # A file that fails to load (an unreadable sidecar, a malformed file,
+        # n > m + 1 or no k) fails its own row only, as a failed solve does
+        # below.
         try:
+            sidecar = load_sidecar(path)
+            family = sidecar.get("family", "") if sidecar else ""
+            known_opt = None
+            if sidecar is not None and sidecar.get("known_opt_num") is not None:
+                known_opt = Fraction(
+                    sidecar["known_opt_num"], sidecar["known_opt_den"]
+                )
             g = load_edge_list(path, connectable=True)
+            ks = _sidecar_k(sidecar) if given_ks is None else given_ks
         except ValueError as exc:
             failed += 1
             print(f"error: {path.name}: {exc}", file=sys.stderr)
@@ -235,7 +243,7 @@ def cmd_bench(args) -> int:
         # Every algorithm that accepts the graph: all five on unweighted input.
         names = [name for name, (_, weighted, _) in ALGORITHMS.items()
                  if weighted or not g.weighted]
-        for k in _bench_ks(args, sidecar):
+        for k in ks:
             for name in names:
                 # A failed solve (k > n, say) fails its own row only, tagged
                 # as its solution would be.

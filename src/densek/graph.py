@@ -205,10 +205,11 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
 def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ...]:
     """Articulation vertices of the (connected) induced graph, sorted.
 
-    Iterative lowlink DFS; errors if the induced graph is disconnected.
-    A vertex with exactly one neighbour in the induced graph is never among
-    them: removing a leaf leaves the rest connected. Callers that only ask
-    about such a vertex can skip the DFS, as alg1 and prc2 do.
+    Iterative lowlink DFS over the whole view; errors if the induced graph
+    is disconnected. The solvers do not call it: alg1's peel and prc2's
+    pruning ask about one candidate at a time, and answer with a local
+    search from the candidate's neighbours. It stays as the whole-view
+    reference that the tests check that search against.
     """
     members = _member_set(g, within)
     if not members:
@@ -353,6 +354,20 @@ def j_attachment(
     return tuple(sorted(grown - sset))
 
 
+def _parse_header(line: str) -> tuple[int, int, bool]:
+    """(n, m, weighted) from an edge list's first line; EdgeListError if bad."""
+    head = line.split()
+    if len(head) not in (2, 3) or (len(head) == 3 and head[2] != "weighted"):
+        raise EdgeListError(1, "expected header 'n m' or 'n m weighted'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise EdgeListError(1, "vertex and edge counts must be integers") from None
+    if n < 0 or m < 0:
+        raise EdgeListError(1, "counts must be nonnegative")
+    return n, m, len(head) == 3
+
+
 def parse_edge_list(text: str, connectable: bool = False) -> Graph:
     """Parse the package's edge-list format.
 
@@ -363,23 +378,12 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
     fits, raises ValueError before any per-vertex list is built.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise EdgeListError(1, "expected header 'n m' or 'n m weighted'")
-    head = lines[0].split()
-    if len(head) not in (2, 3) or (len(head) == 3 and head[2] != "weighted"):
-        raise EdgeListError(1, "expected header 'n m' or 'n m weighted'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise EdgeListError(1, "vertex and edge counts must be integers") from None
-    if n < 0 or m < 0:
-        raise EdgeListError(1, "counts must be nonnegative")
+    n, m, weighted = _parse_header(lines[0] if lines else "")
     if connectable and n > m + 1:
         raise ValueError(
             f"header declares n={n} vertices and m={m} edges; "
             f"a connected graph needs n <= m + 1"
         )
-    weighted = len(head) == 3
     fields = 3 if weighted else 2
     edges: list[tuple[int, int]] = []
     weights: list[int] = []
@@ -433,6 +437,14 @@ def format_edge_list(g: Graph) -> str:
 def load_edge_list(path, connectable: bool = False) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read(), connectable)
+
+
+def load_header(path) -> tuple[int, int, bool]:
+    """(n, m, weighted) from an edge-list file's first line alone."""
+    with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline()
+    # the first line as parse_edge_list's splitlines() cuts it
+    return _parse_header(line.splitlines()[0] if line else "")
 
 
 def save_edge_list(g: Graph, path) -> None:

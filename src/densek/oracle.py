@@ -64,6 +64,18 @@ def _connected_mask(masks: list[int], smask: int) -> bool:
     return seen == smask
 
 
+def check_brute_k(n: int, k: int, limit: int | None = None) -> None:
+    """brute_k's input checks on n vertices, in its order, without a graph.
+
+    ValueError when k is outside 1..n, then OracleLimitError when n exceeds
+    the size guard, so a caller can check a file's header before building
+    its graph.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range 1..{n}")
+    _check_size(n, K_SUBGRAPH_LIMIT, limit)
+
+
 def brute_k(
     g: Graph, k: int, connected: bool = True, limit: int | None = None
 ) -> OracleResult:
@@ -72,9 +84,7 @@ def brute_k(
     The witness is the lexicographically smallest maximizer. Densities of
     equal-size sets are compared by induced weight alone.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 1..{g.n}")
-    _check_size(g.n, K_SUBGRAPH_LIMIT, limit)
+    check_brute_k(g.n, k, limit)
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v

@@ -77,6 +77,30 @@ def barbell(clique, path_len):
     return Graph(2 * clique + path_len - 1, edges)
 
 
+def hairy_clique(core, side):
+    """K_core on 0..core-1; core vertex i carries the guard core + i, of
+    degree 2, which holds a pendant K_side. The guards are the removable
+    vertices, each a cut vertex in front of its K_side; triggers prc2 with a
+    seed to prune."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    for i in range(core):
+        guard = core + i
+        first = 2 * core + i * side
+        clique = range(first, first + side)
+        edges += [(i, guard), (guard, first)]
+        edges += [(u, v) for u in clique for v in clique if u < v]
+    return Graph(2 * core + core * side, edges)
+
+
+def bridged(a, b, inner):
+    """a and a copy of b on ids a.n.., joined by a path with inner vertices
+    from vertex 0 of a to the copy of vertex 0 of b."""
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    chain = [0] + list(range(a.n + b.n, a.n + b.n + inner)) + [a.n]
+    edges += [(min(x, y), max(x, y)) for x, y in zip(chain, chain[1:])]
+    return Graph(a.n + b.n + inner, edges)
+
+
 def connected_corpus(count, max_n, seed0, min_n=5):
     """Deterministic list of connected graphs with n <= max_n."""
     out = []
@@ -383,6 +407,24 @@ def alg1_reference(g, k, density_log=None):
         view = set(descend)
         deg = degrees_in(view)
         edges = induced_weight(g, view)
+
+
+def first_non_cut_reference(g, view, candidates):
+    """alg1's and prc2's candidate scan as it was, with a whole-view DFS.
+
+    The reference for the local cut test: the first candidate that is a leaf
+    of the view or is missing from cut_vertices of the whole view, which is
+    computed at most once.
+    """
+    articulation = None
+    for v in candidates:
+        if sum(1 for u in g.neighbors(v) if u in view) == 1:
+            return v
+        if articulation is None:
+            articulation = set(cut_vertices(g, within=view))
+        if v not in articulation:
+            return v
+    return None
 
 
 def alg5_hub_reference(g, k, expansion_log=None):

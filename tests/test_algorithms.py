@@ -31,14 +31,19 @@ from densek import (
     run_named_algorithm,
     weighted_greedy,
 )
+from densek.algorithms import _first_non_cut, _is_cut_vertex
+from densek.graph import components, cut_vertices
 from helpers import (
     alg1_reference,
     alg5_hub_reference,
     assert_valid_solution,
     barbell,
+    bridged,
     complete,
     connected_corpus,
     cycle,
+    first_non_cut_reference,
+    hairy_clique,
     is_removable,
     k4p,
     path,
@@ -48,7 +53,7 @@ from helpers import (
     weighted_greedy_reference,
     weighted_version,
 )
-from strategies import connected_graphs
+from strategies import connected_graphs, simple_graphs
 
 K5_WITH_TAIL = Graph(
     7, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5), (5, 6)]
@@ -100,8 +105,83 @@ def hub_dropped_partner():
                               (3, 5), (4, 6), (6, 7), (6, 8)])
 
 
+def three_sided_guard():
+    """Vertex 0 with neighbours 1..5 and three sides behind it: 1 and 2
+    meet through 6, 3 and 4 are adjacent, and 5 leads the path 5-7-8-9."""
+    return Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 6),
+                      (3, 4), (5, 7), (7, 8), (8, 9)])
+
+
+class CountingView(set):
+    """A vertex set that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, v):
+        self.lookups += 1
+        return super().__contains__(v)
+
+
 def removable_free(g):
     return not any(is_removable(g, v) for v in range(g.n))
+
+
+class TestLocalCutTest:
+    @given(
+        st.one_of(
+            connected_graphs(min_n=2, max_n=16, max_extra=4),  # many cut vertices
+            simple_graphs(min_n=2, max_n=12),
+        ),
+        st.data(),
+    )
+    def test_matches_whole_view_articulation(self, g, data):
+        # every vertex of every connected view of a random vertex subset
+        keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        subset = [v for v in range(g.n) if keep[v]]
+        for comp in components(g) + components(g, subset):
+            if len(comp) < 2:
+                continue
+            view = set(comp)
+            cuts = set(cut_vertices(g, within=view))
+            for v in comp:
+                assert _is_cut_vertex(g, view, v) == (v in cuts)
+
+    @pytest.mark.parametrize("g, cuts", [
+        (three_sided_guard(), (0, 5, 7, 8)),
+        # the friendship graph: three triangles through the centre 0
+        (Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5),
+                   (0, 6), (5, 6)]), (0,)),
+        # the star: every leaf its own side
+        (star(4), (0,)),
+        # the wheel: the centre's five searches all meet
+        (Graph(6, [(0, v) for v in range(1, 6)]
+               + [(v, v % 5 + 1) for v in range(1, 6)]), ()),
+        # found by random search: vertex 2 is no cut vertex, and its five
+        # searches only all meet if a merge keeps both groups' frontiers
+        (Graph(10, [(0, 2), (0, 3), (0, 5), (1, 8), (2, 4), (2, 7), (2, 8),
+                    (2, 9), (4, 8), (4, 9), (5, 6), (5, 7), (6, 9)]), (0, 8)),
+    ])
+    def test_fixed_views(self, g, cuts):
+        view = set(range(g.n))
+        assert cut_vertices(g) == cuts
+        assert tuple(v for v in range(g.n) if _is_cut_vertex(g, view, v)) == cuts
+
+    def test_small_side_ends_the_search(self):
+        # guard 31 joins the triangle {30, 31, 32} to a K30 through vertex 0:
+        # the triangle's search runs out long before the clique is scanned,
+        # which alone would take 30 * 29 membership tests
+        g = Graph(33, [(u, v) for u in range(30) for v in range(u + 1, 30)]
+                  + [(0, 31), (30, 31), (30, 32), (31, 32)])
+        view = CountingView(range(g.n))
+        assert _is_cut_vertex(g, view, 31)
+        assert view.lookups < 100
+
+    def test_first_non_cut_scans_in_the_given_order(self):
+        g = three_sided_guard()
+        view = set(range(g.n))
+        assert _first_non_cut(g, view, [0, 5, 7, 3, 1]) == 3
+        assert _first_non_cut(g, view, [8, 9]) == 9  # a leaf
+        assert _first_non_cut(g, view, [0, 8]) is None
 
 
 class TestPrc1:
@@ -183,6 +263,38 @@ class TestPrc2:
             prc2(g, k, state_log=log)
             size = len(log[0].seed_with_blocks)
             assert k // 2 <= size <= k
+
+    def test_pruning_matches_whole_view_reference(self, monkeypatch):
+        # every contraction run reached through alg1 on the criterion-03
+        # barbells, and on hairy cliques whose seeds prune cut and non-cut
+        # vertices, against the scan with a whole-view articulation DFS
+        instances = [
+            (barbell(6, 6), 10), (barbell(6, 7), 10), (barbell(7, 6), 12),
+            (barbell(6, 5), 8), (barbell(7, 10), 12), (barbell(8, 12), 14),
+        ] + [(hairy_clique(4, 6), k) for k in (12, 16, 20, 24)] + [
+            (hairy_clique(5, 7), k) for k in (20, 24, 30)]
+        original = densek.algorithms.prc2
+
+        def runs():
+            states = []
+
+            def spy(g, k, within=None, state_log=None):
+                out = original(g, k, within=within, state_log=states)
+                states.append(out)
+                return out
+
+            monkeypatch.setattr(densek.algorithms, "prc2", spy)
+            return [alg1(g, k) for g, k in instances], states
+
+        solutions, states = runs()
+        monkeypatch.setattr(
+            densek.algorithms, "_first_non_cut", first_non_cut_reference
+        )
+        assert runs() == (solutions, states)
+        assert len(states) == 2 * len(instances)
+        # hairy_clique(4, 6) at k = 16: the seed 0..4 prunes down to 0 and
+        # its guard 4, keeping the cut vertex 0 and dropping 1, 2 and 3
+        assert states[2 * 7].seed == (0, 4)
 
     def test_rejects_views_without_removable_vertices(self):
         with pytest.raises(ValueError, match="at least one removable"):
@@ -273,6 +385,22 @@ class TestAlg1:
         log, ref_log = [], []
         assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
         assert log == ref_log
+
+    @pytest.mark.parametrize("g", [
+        gnp(300, 3 / 300, 11),
+        gnp(300, 3 / 300, 12),
+        gnp(200, 8 / 200, 13),
+        gnp(200, 8 / 200, 14),
+        # peel, descend into the denser side, peel again; prc2 at larger k
+        bridged(gnp(150, 8 / 150, 15), gnp(120, 12 / 120, 16), 3),
+    ])
+    def test_peel_order_matches_full_dfs_reference_at_scale(self, g):
+        # candidate bookkeeping over up to hundreds of steps per phase; k
+        # stalls the peel (prc1 or prc2), or is reached by it
+        for k in (10, g.n // 4 * 2, g.n - g.n % 2 - 10):
+            log, ref_log = [], []
+            assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
+            assert log == ref_log
 
     def test_whole_graph_when_k_equals_n(self):
         sol = alg1(cycle(6), 6)

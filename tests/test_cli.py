@@ -224,6 +224,21 @@ class TestOracleCommand:
         target.write_text("\n".join(lines) + "\n")
         assert main(["oracle", "--input", str(target), "--k", "3"]) == 6
 
+    def test_size_guard_reads_the_header_first(self, capsys, tmp_path, no_graph_built):
+        # the guard refuses a huge header before any per-vertex list exists
+        target = tmp_path / "huge.edges"
+        target.write_text("1000000000 0\n")
+        assert main(["oracle", "--input", str(target), "--k", "3",
+                     "--no-connected"]) == 6
+        err = capsys.readouterr().err
+        assert "n=1000000000 exceeds limit 20" in err
+
+    def test_size_guard_keeps_the_range_check_first(self, capsys, tmp_path, no_graph_built):
+        target = tmp_path / "huge.edges"
+        target.write_text("1000000000 0\n")
+        assert main(["oracle", "--input", str(target), "--k", "0"]) == 4
+        assert "out of range" in capsys.readouterr().err
+
     def test_size_guard_override(self, capsys, tmp_path):
         n = 25
         lines = [f"{n} {n - 1}"] + [f"{i} {i + 1}" for i in range(n - 1)]
@@ -381,6 +396,50 @@ class TestBench:
         assert [row[-1] for row in body[:5]] == ["ok"] * 5
         assert body[5][1:-1] == [""] * 10
         assert error in body[5][-1]
+
+    @pytest.mark.parametrize("sidecar, family", [
+        (None, ""),  # no --k and no sidecar
+        ('{"family": "GNP"}', "GNP"),  # a sidecar without k
+    ])
+    def test_file_without_k_keeps_its_row(self, capsys, tmp_path, sidecar, family):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "example1a", "--ell", "2", "--out", str(corpus / "a.edges")])
+        (corpus / "z.edges").write_text(K4P_TEXT)
+        if sidecar is not None:
+            (corpus / "z.json").write_text(sidecar)
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "z.edges: no k for instance" in err
+        assert "1 of 6 solves failed" in err
+        rows = list(csv.reader(out.read_text().strip().splitlines()))
+        body = rows[1:]
+        assert [row[0] for row in body] == ["a.edges"] * 5 + ["z.edges"]
+        assert [row[-1] for row in body[:5]] == ["ok"] * 5
+        assert body[5][1:-1] == [family] + [""] * 9
+        assert "no k for instance" in body[5][-1]
+
+    def test_unreadable_sidecar_keeps_its_row(self, capsys, tmp_path):
+        # a sidecar that is not JSON fails its own file, even with --k
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "example1a", "--ell", "2", "--out", str(corpus / "a.edges")])
+        (corpus / "a.json").write_text("{bad")
+        (corpus / "b.edges").write_text(K4P_TEXT)
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "a.edges: Expecting property name" in err
+        assert "1 of 6 solves failed" in err
+        body = list(csv.reader(out.read_text().strip().splitlines()))[1:]
+        assert [row[0] for row in body] == ["a.edges"] + ["b.edges"] * 5
+        assert body[0][1:-1] == [""] * 10
+        assert "Expecting property name" in body[0][-1]
+        assert [row[-1] for row in body[1:]] == ["ok"] * 5
 
     def test_missing_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path / "nope"),

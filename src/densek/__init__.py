@@ -10,7 +10,6 @@ Library layout:
 """
 
 from .algorithms import (
-    Prc2State,
     Solution,
     alg1,
     alg3,
@@ -68,7 +67,6 @@ __all__ = [
     "Graph",
     "OracleLimitError",
     "OracleResult",
-    "Prc2State",
     "Solution",
     "Xorshift64Star",
     "alg1",

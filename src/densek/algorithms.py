@@ -50,6 +50,17 @@ ALGORITHMS = {
 }
 _TAGS = frozenset(tag for tag, _, _ in ALGORITHMS.values()) | {COMBINED}
 
+# The observation hook. When set, the solvers call trace(event, **fields);
+# each reads it once per call, and while it is None no field is built.
+#   peel_phase  alg1, phase start: density (Fraction) of the view
+#   peel        alg1, each step: density (Fraction) after the peeled vertex
+#   prc2        prc2, once per run: surviving, removable, seed,
+#               seed_with_blocks, seed_with_attachment (sorted tuples) and
+#               block_sizes (survivor -> view vertices in its block, a dict)
+#   expand      alg3, alg4, alg5_hub per hub: seed, the connected set grown,
+#               and out, its growth to k (sorted tuples)
+trace: Callable[..., None] | None = None
+
 
 class AlgorithmMismatchError(ValueError):
     """A weighted graph was paired with an unweighted-only algorithm."""
@@ -178,29 +189,13 @@ def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     return tuple(sorted(set(seed) | set(attachment)))
 
 
-@dataclass(frozen=True)
-class Prc2State:
-    """Intermediate sets of one contraction run, for invariant checks."""
-
-    surviving: tuple[int, ...]
-    removable: tuple[int, ...]
-    block_sizes: dict[int, int]
-    seed: tuple[int, ...]
-    seed_with_blocks: tuple[int, ...]
-    seed_with_attachment: tuple[int, ...]
-
-
-def prc2(
-    g: Graph,
-    k: int,
-    within: Iterable[int] | None = None,
-    state_log: list[Prc2State] | None = None,
-) -> tuple[int, ...]:
+def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
     """Contract dense sides behind their cut vertices, then rebuild k vertices.
 
     Requires a connected view larger than k where removable vertices exist
     but every one of them guards a dense side smaller than k.
     """
+    emit = trace
     if g.weighted:
         raise ValueError("prc2 accepts unweighted graphs only")
     if k < 2 or k % 2:
@@ -277,16 +272,15 @@ def prc2(
     for r in removable_set & chosen:
         with_blocks |= side[r]
     with_attachment = chosen | set(attachment)
-    if state_log is not None:
-        state_log.append(
-            Prc2State(
-                surviving=tuple(sorted(surviving)),
-                removable=tuple(removable),
-                block_sizes=dict(theta),
-                seed=tuple(sorted(chosen)),
-                seed_with_blocks=tuple(sorted(with_blocks)),
-                seed_with_attachment=tuple(sorted(with_attachment)),
-            )
+    if emit is not None:
+        emit(
+            "prc2",
+            surviving=tuple(sorted(surviving)),
+            removable=tuple(removable),
+            block_sizes=dict(theta),
+            seed=tuple(sorted(chosen)),
+            seed_with_blocks=tuple(sorted(with_blocks)),
+            seed_with_attachment=tuple(sorted(with_attachment)),
         )
     pick = (
         with_blocks
@@ -296,9 +290,7 @@ def prc2(
     return expand_to_k(g, pick, k, within=view)
 
 
-def alg1(
-    g: Graph, k: int, *, density_log: list[list[Fraction]] | None = None
-) -> Solution:
+def alg1(g: Graph, k: int) -> Solution:
     """Peel removable non-cut vertices; recurse into large dense sides.
 
     Each step deletes the smallest-id vertex v with d(v)*|V| < |E| that is
@@ -311,16 +303,16 @@ def alg1(
     tested by a local search from its neighbours whose cost is bounded by
     its degree times the smaller side; a leaf needs no search.
     When peeling stalls above k vertices, hand over to prc1 (no removable
-    vertex left) or prc2 (all dense sides small). density_log, when given,
-    receives one list per peeling phase holding the density after each step.
+    vertex left) or prc2 (all dense sides small).
     """
+    emit = trace
     _check_even_input(g, k)
     view = set(range(g.n))
     deg = {v: g.degree(v) for v in view}
     edges = g.m
     while True:
-        if density_log is not None:
-            density_log.append([Fraction(2 * edges, len(view))])
+        if emit is not None:
+            emit("peel_phase", density=Fraction(2 * edges, len(view)))
         size = len(view)
         removable = _removable_in(view, deg, edges)
         admitted = set(removable)
@@ -357,8 +349,8 @@ def alg1(
                         admitted.add(u)
                         insort(removable, u)
                 level += 1
-            if density_log is not None:
-                density_log[-1].append(Fraction(2 * edges, size))
+            if emit is not None:
+                emit("peel", density=Fraction(2 * edges, size))
         if size == k:
             return _make_solution(g, view, ALG1, k)
         if not removable:
@@ -376,22 +368,18 @@ def alg1(
         edges = induced_weight(g, view)
 
 
-def alg3(
-    g: Graph,
-    k: int,
-    *,
-    expansion_log: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
-) -> Solution:
+def alg3(g: Graph, k: int) -> Solution:
     """Start from a densest connected subgraph; expand or shrink it to k.
 
     A maximizer has no removable vertex, so shrinking can delegate to prc1.
     """
+    emit = trace
     _check_even_input(g, k)
     dense = densest_connected_subgraph(g)
     if len(dense) <= k:
         out = expand_to_k(g, dense, k)
-        if expansion_log is not None:
-            expansion_log.append((dense, out))
+        if emit is not None:
+            emit("expand", seed=dense, out=out)
         return _make_solution(g, out, ALG3, k)
     return _make_solution(g, prc1(g, k, within=dense), ALG3, k)
 
@@ -411,13 +399,9 @@ def alg4_base(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(sorted(set(hubs) | set(attachment)))
 
 
-def alg4(
-    g: Graph,
-    k: int,
-    *,
-    expansion_log: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
-) -> Solution:
+def alg4(g: Graph, k: int) -> Solution:
     """Attach half the budget to the k/2 highest-degree vertices."""
+    emit = trace
     _check_even_input(g, k)
     base = alg4_base(g, k)
     best = None
@@ -427,8 +411,8 @@ def alg4(
         if comp_density > best_density:
             best, best_density = comp, comp_density
     out = expand_to_k(g, best, k)
-    if expansion_log is not None:
-        expansion_log.append((best, out))
+    if emit is not None:
+        emit("expand", seed=best, out=out)
     return _make_solution(g, out, ALG4, k)
 
 
@@ -441,12 +425,7 @@ def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
     return set(sorted(sorted(ids), key=key, reverse=True)[:count])
 
 
-def alg5_hub(
-    g: Graph,
-    k: int,
-    *,
-    expansion_log: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
-) -> Solution:
+def alg5_hub(g: Graph, k: int) -> Solution:
     """Best hub-and-partners candidate outside the high-degree core.
 
     Candidate hubs are the vertices outside the k/2 highest-degree set H,
@@ -460,6 +439,7 @@ def alg5_hub(
     ties keep the earliest hub. Per hub the work is local: its two-step
     neighbourhood outside H and the growth to k, never a whole-graph pass.
     """
+    emit = trace
     _check_even_input(g, k)
     half = k // 2
     hubs = set(highest_degree_vertices(g, half))
@@ -491,8 +471,8 @@ def alg5_hub(
                 pending -= found
                 queue.extend(found)
         out = _bfs_fill(g, comp, k, everything)
-        if expansion_log is not None:
-            expansion_log.append((tuple(sorted(comp)), tuple(sorted(out))))
+        if emit is not None:
+            emit("expand", seed=tuple(sorted(comp)), out=tuple(sorted(out)))
         weight = sum(map(len, map(out.intersection, map(adjacent.__getitem__, out))))
         if weight > best_weight:
             best, best_weight = out, weight

@@ -97,7 +97,16 @@ def _report_csv(runs: list, g: Graph) -> str:
     return buffer.getvalue()
 
 
+def _check_oracle_header(path, k: int, limit: int | None) -> None:
+    # brute_k's checks on the header's n first: a huge n is refused before
+    # any edge is read, any per-vertex list is built or any solver runs.
+    n, _, _ = load_header(path)
+    check_brute_k(n, k, limit)
+
+
 def cmd_solve(args) -> int:
+    if args.oracle:
+        _check_oracle_header(args.input, args.k, args.oracle_limit)
     g = load_edge_list(args.input, connectable=True)
     names = suite_names(g) if args.algo == "auto" else [args.algo]
     runs = [_timed_run(g, args.k, name) for name in names]
@@ -135,10 +144,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # brute_k's checks on the header's n first: a huge n is refused before
-    # any edge is read or any per-vertex list is built.
-    n, _, _ = load_header(args.input)
-    check_brute_k(n, args.k, args.oracle_limit)
+    _check_oracle_header(args.input, args.k, args.oracle_limit)
     g = load_edge_list(args.input)
     exact = brute_k(g, args.k, connected=args.connected, limit=args.oracle_limit)
     report = {
@@ -200,14 +206,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _sidecar_k(sidecar: dict | None) -> list[int]:
-    if sidecar is not None and sidecar.get("k") is not None:
-        return [int(sidecar["k"])]
-    raise ValueError(
-        "no k for instance: pass --k or generate instances with a sidecar k"
-    )
-
-
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
@@ -222,19 +220,17 @@ def cmd_bench(args) -> int:
     failed = 0
     for path in files:
         family = ""
-        # A file that fails to load (an unreadable sidecar, a malformed file,
-        # n > m + 1 or no k) fails its own row only, as a failed solve does
-        # below.
+        # A file that fails to load (a sidecar that is unreadable or of the
+        # wrong shape, a malformed file, n > m + 1 or no k) fails its own row
+        # only, as a failed solve does below.
         try:
-            sidecar = load_sidecar(path)
-            family = sidecar.get("family", "") if sidecar else ""
-            known_opt = None
-            if sidecar is not None and sidecar.get("known_opt_num") is not None:
-                known_opt = Fraction(
-                    sidecar["known_opt_num"], sidecar["known_opt_den"]
-                )
+            family, sidecar_k, known_opt = load_sidecar(path) or ("", None, None)
             g = load_edge_list(path, connectable=True)
-            ks = _sidecar_k(sidecar) if given_ks is None else given_ks
+            if given_ks is None and sidecar_k is None:
+                raise ValueError(
+                    "no k for instance: pass --k or generate instances with a sidecar k"
+                )
+            ks = [sidecar_k] if given_ks is None else given_ks
         except ValueError as exc:
             failed += 1
             print(f"error: {path.name}: {exc}", file=sys.stderr)

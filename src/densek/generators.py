@@ -253,8 +253,31 @@ def save_instance(
     return side
 
 
-def load_sidecar(path) -> dict[str, Any] | None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_sidecar(path) -> tuple[str, int | None, Fraction | None] | None:
+    """(family, k, known optimum) from the sidecar that save_instance wrote
+    next to path; None when there is none. The one reader of the format:
+    ValueError naming the sidecar when it is not JSON or of another shape.
+    """
     side = sidecar_path(path)
     if not side.exists():
         return None
-    return json.loads(side.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (sidecar {side.name})") from None
+    if isinstance(meta, dict):
+        family, k = meta.get("family", ""), meta.get("k")
+        num, den = meta.get("known_opt_num"), meta.get("known_opt_den")
+        if isinstance(family, str) and (k is None or _is_int(k)) and (
+            num is None and den is None or _is_int(num) and _is_int(den) and den > 0
+        ):
+            return family, k, None if num is None else Fraction(num, den)
+    raise ValueError(
+        "expected a JSON object with a string family, an integer or null k, "
+        "and known_opt_num and known_opt_den both null or an integer over a "
+        f"positive integer (sidecar {side.name})"
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 
@@ -22,12 +23,22 @@ class EdgeListError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class EdgeError(ValueError):
+    """An edge Graph rejects, with its 0-based position in the input."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        self.message = message
+        super().__init__(f"edge {index}: {message}")
+
+
 class Graph:
     """Immutable simple undirected graph, optionally integer-weighted.
 
     Edges are normalized to (u, v) with u < v and stored sorted. Adjacency
     lists are sorted tuples, which fixes every traversal order in the
-    package (BFS visits neighbors in ascending id).
+    package (BFS visits neighbors in ascending id). The first invalid edge
+    in input order raises EdgeError, a ValueError with its 0-based position.
     """
 
     __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_wdeg", "_connected")
@@ -40,45 +51,41 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.append((u, v) if u < v else (v, u))
         if weights is None:
-            wlist = None
-            norm.sort()
+            pairs = zip(edges, repeat(1))
         else:
-            wlist = list(weights)
-            if len(wlist) != len(norm):
-                raise ValueError("need exactly one weight per edge")
-            for w in wlist:
-                if not isinstance(w, int) or w < 0:
-                    raise ValueError("edge weights must be nonnegative integers")
-            pairs = sorted(zip(norm, wlist))
-            norm = [e for e, _ in pairs]
-            wlist = [w for _, w in pairs]
-        seen = set()
-        for e in norm:
-            if e in seen:
-                raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
-            seen.add(e)
+            pairs = zip(edges, weights, strict=True)  # one weight per edge
+        # The one validation of every edge, in input order; the dict it
+        # normalizes into catches duplicates. Every earlier edge is in the
+        # dict, so its size is the position of the edge at hand.
+        weight_of: dict[tuple[int, int], int] = {}
+        for (u, v), w in pairs:
+            key = (u, v) if u < v else (v, u)
+            if not (0 <= u < n and 0 <= v < n):
+                bad = u if not 0 <= u < n else v
+                fault = f"vertex id {bad} out of range for n={n}"
+            elif u == v:
+                fault = f"self-loop at vertex {u}"
+            elif key in weight_of:
+                fault = f"duplicate edge {key[0]} {key[1]}"
+            elif not isinstance(w, int) or w < 0:
+                fault = f"weight {w!r} is not a nonnegative integer"
+            else:
+                weight_of[key] = w
+                continue
+            raise EdgeError(len(weight_of), fault)
+        norm = sorted(weight_of)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.edges = tuple(norm)
-        self.weights = tuple(wlist) if wlist is not None else None
+        self.weights = None if weights is None else tuple(map(weight_of.get, norm))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        if wlist is None:
-            self._weight_of = {e: 1 for e in norm}
-        else:
-            self._weight_of = dict(zip(norm, wlist))
+        self._weight_of = weight_of
         wdeg = [0] * n
-        for (u, v), w in self._weight_of.items():
+        for (u, v), w in weight_of.items():
             wdeg[u] += w
             wdeg[v] += w
         self._wdeg = tuple(wdeg)
@@ -373,7 +380,10 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
 
     Line 1 is ``n m`` or ``n m weighted``; the next m lines are ``u v`` or
     ``u v w`` with 0-based vertex ids and nonnegative integer weights.
-    Violations raise EdgeListError with the offending line number. With
+    Violations raise EdgeListError with the offending line number, in this
+    order: the header; the syntax of the m edge lines (field count,
+    integers, a missing line); the first bad edge in file order (id out of
+    range, self-loop, duplicate, negative weight); content after them. With
     connectable=True a header with n > m + 1, which no connected graph
     fits, raises ValueError before any per-vertex list is built.
     """
@@ -387,7 +397,6 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
     fields = 3 if weighted else 2
     edges: list[tuple[int, int]] = []
     weights: list[int] = []
-    seen: set[tuple[int, int]] = set()
     for i in range(m):
         lineno = i + 2
         if lineno > len(lines):
@@ -399,27 +408,18 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
             vals = [int(t) for t in tok]
         except ValueError:
             raise EdgeListError(lineno, "fields must be integers") from None
-        u, v = vals[0], vals[1]
-        if not (0 <= u < n and 0 <= v < n):
-            bad = u if not 0 <= u < n else v
-            raise EdgeListError(
-                lineno, f"vertex id {bad} out of range: the header declares n={n}"
-            )
-        if u == v:
-            raise EdgeListError(lineno, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListError(lineno, f"duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
-        edges.append(key)
+        edges.append((vals[0], vals[1]))
         if weighted:
-            if vals[2] < 0:
-                raise EdgeListError(lineno, "weight must be nonnegative")
             weights.append(vals[2])
+    # Graph checks the edges themselves; edge i sits on line i + 2.
+    try:
+        g = Graph(n, edges, weights if weighted else None)
+    except EdgeError as exc:
+        raise EdgeListError(exc.index + 2, exc.message) from None
     for lineno in range(m + 2, len(lines) + 1):
         if lines[lineno - 1].strip():
             raise EdgeListError(lineno, f"unexpected content after {m} edges")
-    return Graph(n, edges, weights if weighted else None)
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,9 +1,13 @@
 """Shared graph builders and seeded corpora for the test suite."""
 
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+import densek.algorithms
 from densek.algorithms import Solution, highest_degree_vertices, prc1, prc2
 from densek.densest import DensestResult
 from densek.generators import Xorshift64Star, gnp
@@ -17,6 +21,43 @@ from densek.graph import (
     induced_weight,
 )
 from densek.oracle import brute_k
+
+
+@contextmanager
+def recording():
+    """Subscribe to densek.algorithms.trace for the block; yields the list
+    of (event, fields) pairs it receives, in emit order."""
+    events = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            densek.algorithms,
+            "trace",
+            lambda event, **fields: events.append((event, fields)),
+        )
+        yield events
+
+
+def fields_of(events, name):
+    """The fields of every event called name, in emit order."""
+    return [fields for event, fields in events if event == name]
+
+
+def peel_log(events):
+    """alg1's peel events as one density list per peeling phase, the shape
+    alg1_reference's density_log takes."""
+    log = []
+    for event, fields in events:
+        if event == "peel_phase":
+            log.append([fields["density"]])
+        elif event == "peel":
+            log[-1].append(fields["density"])
+    return log
+
+
+def expand_log(events):
+    """The expand events as (seed, out) pairs, the shape alg5_hub_reference's
+    expansion_log takes."""
+    return [(f["seed"], f["out"]) for f in fields_of(events, "expand")]
 
 
 def path(n):

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-import densek.algorithms
 from densek import (
     Graph,
     Xorshift64Star,
@@ -37,8 +36,10 @@ from helpers import (
     barbell,
     connected_corpus,
     count_edges_between,
+    fields_of,
     is_removable,
     k4p,
+    recording,
     weighted_version,
 )
 
@@ -94,20 +95,12 @@ def test_criterion_02_attachment_edge_share():
     _report(f"criterion 2: {samples} (g, s, j) triples, zero violations")
 
 
-def test_criterion_03_contraction_seed_window(monkeypatch):
+def test_criterion_03_contraction_seed_window():
     # every contraction run rebuilds a block set of between k/2 and k
-    # vertices; observed through the peeling algorithm on instances that
-    # force the handover, with the runtime asserts live as a second net
+    # vertices; observed through the peeling algorithm's prc2 events on
+    # instances that force the handover, with the runtime asserts live as a
+    # second net
     observed: list[tuple[int, int]] = []
-    original = densek.algorithms.prc2
-
-    def spy(g, k, within=None, state_log=None):
-        log = []
-        result = original(g, k, within=within, state_log=log)
-        observed.extend((k, len(state.seed_with_blocks)) for state in log)
-        return result
-
-    monkeypatch.setattr(densek.algorithms, "prc2", spy)
     instances = [
         (barbell(6, 6), 10),
         (barbell(6, 7), 10),
@@ -117,8 +110,12 @@ def test_criterion_03_contraction_seed_window(monkeypatch):
         (barbell(8, 12), 14),
     ]
     for g, k in instances:
-        sol = alg1(g, k)
+        with recording() as events:
+            sol = alg1(g, k)
         assert_valid_solution(g, sol, k)
+        observed.extend(
+            (k, len(state["seed_with_blocks"])) for state in fields_of(events, "prc2")
+        )
     assert len(observed) >= len(instances)
     for k, size in observed:
         assert k // 2 <= size <= k

@@ -42,11 +42,15 @@ from helpers import (
     complete,
     connected_corpus,
     cycle,
+    expand_log,
+    fields_of,
     first_non_cut_reference,
     hairy_clique,
     is_removable,
     k4p,
     path,
+    peel_log,
+    recording,
     star,
     two_triangles_path3,
     walk2_counts,
@@ -54,6 +58,16 @@ from helpers import (
     weighted_version,
 )
 from strategies import connected_graphs, simple_graphs
+
+
+def assert_alg1_matches_reference(g, k):
+    # the Solution and every peel event against the whole-view DFS loop
+    ref_log = []
+    with recording() as events:
+        sol = alg1(g, k)
+    assert sol == alg1_reference(g, k, ref_log)
+    assert peel_log(events) == ref_log
+
 
 K5_WITH_TAIL = Graph(
     7, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5), (5, 6)]
@@ -235,34 +249,34 @@ class TestPrc1:
 class TestPrc2:
     def test_barbell_trace(self):
         g = barbell(6, 6)
-        log = []
-        out = prc2(g, 10, state_log=log)
+        with recording() as events:
+            out = prc2(g, 10)
         assert out == (0, 1, 2, 3, 4, 5, 12, 13, 14, 15)
         assert density(g, out) == Fraction(19, 5)
-        state = log[0]
-        assert state.surviving == (14, 15)
-        assert state.removable == (12, 13, 14, 15, 16)
-        assert state.block_sizes == {14: 9, 15: 8}
-        assert state.seed == (14,)
-        assert state.seed_with_blocks == (0, 1, 2, 3, 4, 5, 12, 13, 14)
-        assert state.seed_with_attachment == (14, 15)
+        [state] = fields_of(events, "prc2")
+        assert state["surviving"] == (14, 15)
+        assert state["removable"] == (12, 13, 14, 15, 16)
+        assert state["block_sizes"] == {14: 9, 15: 8}
+        assert state["seed"] == (14,)
+        assert state["seed_with_blocks"] == (0, 1, 2, 3, 4, 5, 12, 13, 14)
+        assert state["seed_with_attachment"] == (14, 15)
 
     def test_block_sizes_cover_the_view(self):
         g = barbell(6, 7)
-        log = []
-        prc2(g, 10, state_log=log)
-        state = log[0]
-        assert sum(state.block_sizes.values()) == g.n
-        assert set(state.block_sizes) == set(state.surviving)
+        with recording() as events:
+            prc2(g, 10)
+        [state] = fields_of(events, "prc2")
+        assert sum(state["block_sizes"].values()) == g.n
+        assert set(state["block_sizes"]) == set(state["surviving"])
 
     def test_seed_window(self):
         # the documented invariant: k/2 <= |seed with blocks| <= k
         for clique, tail, k in [(6, 6, 10), (6, 7, 10), (7, 6, 12), (6, 5, 8)]:
             g = barbell(clique, tail)
-            log = []
-            prc2(g, k, state_log=log)
-            size = len(log[0].seed_with_blocks)
-            assert k // 2 <= size <= k
+            with recording() as events:
+                prc2(g, k)
+            [state] = fields_of(events, "prc2")
+            assert k // 2 <= len(state["seed_with_blocks"]) <= k
 
     def test_pruning_matches_whole_view_reference(self, monkeypatch):
         # every contraction run reached through alg1 on the criterion-03
@@ -273,28 +287,23 @@ class TestPrc2:
             (barbell(6, 5), 8), (barbell(7, 10), 12), (barbell(8, 12), 14),
         ] + [(hairy_clique(4, 6), k) for k in (12, 16, 20, 24)] + [
             (hairy_clique(5, 7), k) for k in (20, 24, 30)]
-        original = densek.algorithms.prc2
 
         def runs():
-            states = []
-
-            def spy(g, k, within=None, state_log=None):
-                out = original(g, k, within=within, state_log=states)
-                states.append(out)
-                return out
-
-            monkeypatch.setattr(densek.algorithms, "prc2", spy)
-            return [alg1(g, k) for g, k in instances], states
+            # alg1 returns prc2's output as its Solution, so the solutions
+            # also compare prc2's return values
+            with recording() as events:
+                solutions = [alg1(g, k) for g, k in instances]
+            return solutions, fields_of(events, "prc2")
 
         solutions, states = runs()
         monkeypatch.setattr(
             densek.algorithms, "_first_non_cut", first_non_cut_reference
         )
         assert runs() == (solutions, states)
-        assert len(states) == 2 * len(instances)
+        assert len(states) == len(instances)
         # hairy_clique(4, 6) at k = 16: the seed 0..4 prunes down to 0 and
         # its guard 4, keeping the cut vertex 0 and dropping 1, 2 and 3
-        assert states[2 * 7].seed == (0, 4)
+        assert states[7]["seed"] == (0, 4)
 
     def test_rejects_views_without_removable_vertices(self):
         with pytest.raises(ValueError, match="at least one removable"):
@@ -340,11 +349,11 @@ class TestAlg1:
 
     def test_recursion_into_a_large_dense_side(self):
         # removing path vertex 12 exposes the first clique, size >= k
-        log = []
-        sol = alg1(barbell(6, 6), 6, density_log=log)
+        with recording() as events:
+            sol = alg1(barbell(6, 6), 6)
         assert sol.vertices == (0, 1, 2, 3, 4, 5)
         assert sol.density == 5
-        assert log == [[Fraction(72, 17)], [Fraction(5)]]
+        assert peel_log(events) == [[Fraction(72, 17)], [Fraction(5)]]
 
     def test_recursion_side_of_exact_size_k(self):
         sol = alg1(barbell(6, 6), 8)
@@ -354,9 +363,9 @@ class TestAlg1:
     def test_peeling_raises_density_step_by_step(self):
         for g in connected_corpus(20, max_n=12, seed0=88):
             for k in range(2, g.n, 2):
-                log = []
-                alg1(g, k, density_log=log)
-                for phase in log:
+                with recording() as events:
+                    alg1(g, k)
+                for phase in peel_log(events):
                     assert all(b > a for a, b in zip(phase, phase[1:]))
 
     @pytest.mark.parametrize(
@@ -369,9 +378,7 @@ class TestAlg1:
         ],
     )
     def test_peel_order_matches_full_dfs_reference(self, g, k):
-        log, ref_log = [], []
-        assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
-        assert log == ref_log
+        assert_alg1_matches_reference(g, k)
 
     @given(
         st.one_of(
@@ -382,9 +389,7 @@ class TestAlg1:
     )
     def test_hypothesis_peel_order_matches_full_dfs_reference(self, g, data):
         k = 2 * data.draw(st.integers(1, g.n // 2))
-        log, ref_log = [], []
-        assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
-        assert log == ref_log
+        assert_alg1_matches_reference(g, k)
 
     @pytest.mark.parametrize("g", [
         gnp(300, 3 / 300, 11),
@@ -398,9 +403,7 @@ class TestAlg1:
         # candidate bookkeeping over up to hundreds of steps per phase; k
         # stalls the peel (prc1 or prc2), or is reached by it
         for k in (10, g.n // 4 * 2, g.n - g.n % 2 - 10):
-            log, ref_log = [], []
-            assert alg1(g, k, density_log=log) == alg1_reference(g, k, ref_log)
-            assert log == ref_log
+            assert_alg1_matches_reference(g, k)
 
     def test_whole_graph_when_k_equals_n(self):
         sol = alg1(cycle(6), 6)
@@ -427,11 +430,11 @@ class TestAlg3:
         assert sol.algorithm == "ALG3"
 
     def test_expands_a_smaller_core(self):
-        log = []
-        sol = alg3(K5_WITH_TAIL, 6, expansion_log=log)
+        with recording() as events:
+            sol = alg3(K5_WITH_TAIL, 6)
         assert sol.vertices == (0, 1, 2, 3, 4, 5)
         assert sol.density == Fraction(11, 3)
-        assert log == [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5))]
+        assert expand_log(events) == [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5))]
 
     def test_shrinks_a_larger_core_through_prc1(self):
         sol = alg3(k4p(), 2)
@@ -443,9 +446,9 @@ class TestAlg3:
         # density can drop by at most the size ratio
         for g in connected_corpus(15, max_n=12, seed0=204):
             for k in range(2, g.n + 1, 2):
-                log = []
-                sol = alg3(g, k, expansion_log=log)
-                for before, after in log:
+                with recording() as events:
+                    sol = alg3(g, k)
+                for before, after in expand_log(events):
                     assert density(g, after) * k >= density(g, before) * len(before)
                 assert_valid_solution(g, sol, k)
 
@@ -546,8 +549,11 @@ class TestHub:
         ],
     )
     def test_scan_matches_whole_graph_reference(self, g, k, hub0_component):
-        log, ref_log = [], []
-        assert alg5_hub(g, k, expansion_log=log) == alg5_hub_reference(g, k, ref_log)
+        ref_log = []
+        with recording() as events:
+            sol = alg5_hub(g, k)
+        assert sol == alg5_hub_reference(g, k, ref_log)
+        log = expand_log(events)
         assert log == ref_log
         assert log[0][0] == hub0_component
 
@@ -560,9 +566,11 @@ class TestHub:
     )
     def test_hypothesis_scan_matches_whole_graph_reference(self, g, data):
         k = 2 * data.draw(st.integers(1, g.n // 2))
-        log, ref_log = [], []
-        assert alg5_hub(g, k, expansion_log=log) == alg5_hub_reference(g, k, ref_log)
-        assert log == ref_log
+        ref_log = []
+        with recording() as events:
+            sol = alg5_hub(g, k)
+        assert sol == alg5_hub_reference(g, k, ref_log)
+        assert expand_log(events) == ref_log
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -697,6 +705,51 @@ class TestOddKAndSelectors:
         with pytest.raises(ValueError, match="unweighted"):
             run_named_algorithm(Graph(3, [(0, 1), (1, 2)], [1, 2]), 3, "alg1")
         assert run_named_algorithm(k4p(), 3, "alg1").k == 3
+
+
+class TestTraceEvents:
+    # the event table documented at densek.algorithms.trace: name -> the
+    # type of each field
+    SCHEMA = {
+        "peel_phase": {"density": Fraction},
+        "peel": {"density": Fraction},
+        "prc2": {
+            "surviving": tuple,
+            "removable": tuple,
+            "block_sizes": dict,
+            "seed": tuple,
+            "seed_with_blocks": tuple,
+            "seed_with_attachment": tuple,
+        },
+        "expand": {"seed": tuple, "out": tuple},
+    }
+
+    def test_every_event_matches_the_documented_schema(self):
+        big = bridged(gnp(150, 8 / 150, 15), gnp(120, 12 / 120, 16), 3)
+        instances = [
+            (barbell(6, 6), 10), (barbell(6, 7), 10), (barbell(7, 6), 12),
+            (barbell(6, 5), 8), (barbell(7, 10), 12), (barbell(8, 12), 14),
+            (hairy_clique(4, 6), 16),
+        ] + [(big, k) for k in (10, big.n // 4 * 2, big.n - big.n % 2 - 10)] + [
+            (gnp(60, 0.1, seed), k) for seed in (1, 2, 3) for k in (6, 12)]
+        seen = set()
+        for g, k in instances:
+            with recording() as events:
+                run_all_algorithms(g, k)
+            for event, fields in events:
+                assert event in self.SCHEMA
+                schema = self.SCHEMA[event]
+                assert set(fields) == set(schema)
+                for name, value in fields.items():
+                    assert type(value) is schema[name]
+                    if isinstance(value, tuple):
+                        assert value == tuple(sorted(set(value)))
+                        assert all(type(v) is int for v in value)
+                    elif isinstance(value, dict):
+                        assert all(type(a) is int and type(b) is int
+                                   for a, b in value.items())
+                seen.add(event)
+        assert seen == set(self.SCHEMA)
 
 
 class TestDispatch:

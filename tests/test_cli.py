@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import densek.cli
 import densek.graph
 from densek import load_edge_list
 from densek.cli import main
@@ -77,6 +78,21 @@ class TestSolve:
         assert code == 0
         assert report["oracle"]["density"] == {"num": 3, "den": 1, "decimal": 3.0}
         assert report["ratio"] == {"num": 1, "den": 1, "decimal": 1.0}
+
+    def test_oracle_size_guard_before_the_suite(
+        self, capsys, monkeypatch, tmp_path, no_graph_built
+    ):
+        # brute_k's guard is checked on the header: nothing is built or run
+        calls = []
+        monkeypatch.setattr(densek.cli, "run_named_algorithm",
+                            lambda *args: calls.append(args))
+        n = 25
+        lines = [f"{n} {n - 1}"] + [f"{i} {i + 1}" for i in range(n - 1)]
+        target = tmp_path / "long.edges"
+        target.write_text("\n".join(lines) + "\n")
+        assert main(["solve", "--input", str(target), "--k", "4", "--oracle"]) == 6
+        assert "n=25 exceeds limit 20" in capsys.readouterr().err
+        assert calls == []
 
     def test_report_to_file(self, tmp_path, k4p_file):
         out = tmp_path / "report.json"
@@ -284,11 +300,9 @@ class TestGen:
         assert main(
             ["gen", "gnp", "--n", "16", "--p", "0.12", "--seed", "0", "--out", str(out)]
         ) == 0
-        from densek import load_sidecar
-
-        meta = load_sidecar(out)
-        assert meta["params"]["requested_n"] == 16
-        assert meta["params"]["truncated"] is True
+        params = json.loads(out.with_suffix(".json").read_text())["params"]
+        assert params["requested_n"] == 16
+        assert params["truncated"] is True
         assert load_edge_list(out).n == 15
 
     def test_planted_generation(self, tmp_path):
@@ -420,6 +434,30 @@ class TestBench:
         assert [row[-1] for row in body[:5]] == ["ok"] * 5
         assert body[5][1:-1] == [family] + [""] * 9
         assert "no k for instance" in body[5][-1]
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"k": 4, "known_opt_num": 3}',
+        "[4]",
+        '{"k": 4, "known_opt_num": 3, "known_opt_den": 0}',
+    ], ids=["no-denominator", "not-an-object", "zero-denominator"])
+    def test_sidecar_of_the_wrong_shape_keeps_its_row(self, capsys, tmp_path, sidecar):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        (corpus / "a.json").write_text(sidecar)
+        (corpus / "b.edges").write_text(K4P_TEXT)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "a.edges: expected a JSON object with" in err
+        assert "(sidecar a.json)" in err
+        assert "1 of 6 solves failed" in err
+        body = list(csv.reader(out.read_text().strip().splitlines()))[1:]
+        assert [row[0] for row in body] == ["a.edges"] + ["b.edges"] * 5
+        assert body[0][1:-1] == [""] * 10
+        assert "(sidecar a.json)" in body[0][-1]
+        assert [row[-1] for row in body[1:]] == ["ok"] * 5
 
     def test_unreadable_sidecar_keeps_its_row(self, capsys, tmp_path):
         # a sidecar that is not JSON fails its own file, even with --k

@@ -185,10 +185,7 @@ class TestPersistence:
         sidecar = instance.save(target)
         reloaded = load_edge_list(target)
         assert reloaded == instance.graph
-        meta = load_sidecar(target)
-        assert meta["family"] == "EX1A"
-        assert meta["k"] == instance.k
-        assert Fraction(meta["known_opt_num"], meta["known_opt_den"]) == Fraction(3, 2)
+        assert load_sidecar(target) == ("EX1A", instance.k, Fraction(3, 2))
         assert sidecar.exists()
 
     def test_weighted_round_trip(self, tmp_path):
@@ -203,10 +200,7 @@ class TestPersistence:
         g = gnp(10, 0.5, seed=2)
         target = tmp_path / "random.edges"
         save_instance(g, target, family="GNP", params={"seed": 2})
-        meta = load_sidecar(target)
-        assert meta["family"] == "GNP"
-        assert meta["k"] is None
-        assert meta["known_opt_num"] is None
+        assert load_sidecar(target) == ("GNP", None, None)
 
     def test_missing_sidecar_reads_as_none(self, tmp_path):
         target = tmp_path / "bare.edges"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from densek.graph import (
+    EdgeError,
     EdgeListError,
     Graph,
     components,
@@ -72,6 +73,17 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edges, weights, index", [
+        ([(0, 1), (1, 2), (2, 1)], None, 2),
+        ([(0, 1), (2, 2)], None, 1),
+        ([(0, 3), (1, 1)], None, 0),
+        ([(0, 1), (1, 2)], [4, -1], 1),
+    ], ids=["duplicate", "self-loop", "out-of-range", "negative-weight"])
+    def test_rejected_edge_carries_its_position(self, edges, weights, index):
+        with pytest.raises(EdgeError) as err:
+            Graph(3, edges, weights)
+        assert err.value.index == index
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -337,6 +349,14 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListError) as err:
             parse_edge_list(text)
         assert err.value.line == line
+
+    def test_syntax_error_before_an_earlier_bad_edge(self):
+        # every edge line must parse before any edge is checked: the
+        # self-loop on line 2 gives way to the non-integer on line 3
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list("3 2\n1 1\n0 x\n")
+        assert err.value.line == 3
+        assert "integers" in str(err.value)
 
     def test_trailing_blank_lines_ok(self):
         assert parse_edge_list("2 1\n0 1\n\n  \n") == path(2)

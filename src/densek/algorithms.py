@@ -20,6 +20,7 @@ from .graph import (
     Graph,
     _bfs_fill,
     _member_set,
+    _top,
     components,
     densest_component_after,
     density,
@@ -165,23 +166,31 @@ def _first_non_cut(g: Graph, view: set[int], candidates: Iterable[int]) -> int |
     return None
 
 
+def _stalled_view(
+    g: Graph, k: int, within: Iterable[int] | None, name: str
+) -> tuple[set[int], list[int]]:
+    # The checks prc1 and prc2 share, in order, with the procedure's name in
+    # each message: the view and its removable vertices, id-sorted.
+    if g.weighted:
+        raise ValueError(f"{name} accepts unweighted graphs only")
+    if k < 2 or k % 2:
+        raise ValueError(f"k={k} must be even and at least 2")
+    view = _member_set(g, within)
+    if len(view) <= k:
+        raise ValueError(f"{name} needs a vertex view strictly larger than k")
+    if not is_connected(g, view):
+        raise ValueError(f"{name} needs a connected vertex view")
+    return view, _removable_in(view, _degrees_in(g, view), induced_weight(g, view))
+
+
 def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
     """Half-sized BFS seed plus a half-sized attachment, on peel-stable input.
 
     Requires a connected view larger than k with no removable vertex; the
     output keeps at least a k/(4*size) share of the view's density.
     """
-    if g.weighted:
-        raise ValueError("prc1 accepts unweighted graphs only")
-    if k < 2 or k % 2:
-        raise ValueError(f"k={k} must be even and at least 2")
-    view = _member_set(g, within)
-    if len(view) <= k:
-        raise ValueError("prc1 needs a vertex view strictly larger than k")
-    if not is_connected(g, view):
-        raise ValueError("prc1 needs a connected vertex view")
-    edges = induced_weight(g, view)
-    if _removable_in(view, _degrees_in(g, view), edges):
+    view, removable = _stalled_view(g, k, within, "prc1")
+    if removable:
         raise ValueError("prc1 input must have no removable vertex")
     half = k // 2
     seed = expand_to_k(g, [min(view)], half, within=view)
@@ -196,18 +205,7 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     but every one of them guards a dense side smaller than k.
     """
     emit = trace
-    if g.weighted:
-        raise ValueError("prc2 accepts unweighted graphs only")
-    if k < 2 or k % 2:
-        raise ValueError(f"k={k} must be even and at least 2")
-    view = _member_set(g, within)
-    size = len(view)
-    if size <= k:
-        raise ValueError("prc2 needs a vertex view strictly larger than k")
-    if not is_connected(g, view):
-        raise ValueError("prc2 needs a connected vertex view")
-    edges = induced_weight(g, view)
-    removable = _removable_in(view, _degrees_in(g, view), edges)
+    view, removable = _stalled_view(g, k, within, "prc2")
     if not removable:
         raise ValueError("prc2 needs at least one removable vertex")
     side: dict[int, set[int]] = {}
@@ -236,7 +234,7 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     theta = {
         v: (len(side[v]) + 1 if v in removable_set else 1) for v in surviving
     }
-    if sum(theta.values()) != size:
+    if sum(theta.values()) != len(view):
         raise RuntimeError("prc2: block sizes must cover the whole view")
 
     # Grow a connected seed until its blocks cover k/2 vertices, then prune
@@ -385,11 +383,12 @@ def alg3(g: Graph, k: int) -> Solution:
 
 
 def highest_degree_vertices(g: Graph, count: int) -> tuple[int, ...]:
-    """The count largest-degree vertices, ties toward smaller ids."""
+    """The count largest-degree vertices, ties toward smaller ids: the
+    ranking rule of j_attachment, keyed by degree.
+    """
     if not 0 <= count <= g.n:
         raise ValueError(f"count={count} out of range 0..{g.n}")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return tuple(sorted(order[:count]))
+    return tuple(sorted(_top(range(g.n), count, g.degree)))
 
 
 def alg4_base(g: Graph, k: int) -> tuple[int, ...]:
@@ -403,26 +402,11 @@ def alg4(g: Graph, k: int) -> Solution:
     """Attach half the budget to the k/2 highest-degree vertices."""
     emit = trace
     _check_even_input(g, k)
-    base = alg4_base(g, k)
-    best = None
-    best_density = Fraction(-1)
-    for comp in components(g, base):
-        comp_density = density(g, comp)
-        if comp_density > best_density:
-            best, best_density = comp, comp_density
+    best = max(components(g, alg4_base(g, k)), key=lambda c: density(g, c))
     out = expand_to_k(g, best, k)
     if emit is not None:
         emit("expand", seed=best, out=out)
     return _make_solution(g, out, ALG4, k)
-
-
-def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
-    # The first count ids in (-key, id) order: stable sorts by id, then by
-    # key descending. Without a sort when every id is taken anyway.
-    ids = list(ids)
-    if len(ids) <= count:
-        return set(ids)
-    return set(sorted(sorted(ids), key=key, reverse=True)[:count])
 
 
 def alg5_hub(g: Graph, k: int) -> Solution:
@@ -491,8 +475,7 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
     best = None
     best_weight = -1
     for v in range(g.n):
-        ranked = sorted(g.neighbors(v), key=lambda u: (-g.edge_weight(v, u), u))
-        star = {v, *ranked[: k - 1]}
+        star = {v} | _top(g.neighbors(v), k - 1, lambda u: g.edge_weight(v, u))
         out = expand_to_k(g, star, k)
         weight = induced_weight(g, out)
         if weight > best_weight:
@@ -501,18 +484,9 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
 
 
 def _attach_best_vertex(g: Graph, vertices: tuple[int, ...]) -> int:
-    inside = set(vertices)
-    best = None
-    best_count = 0
-    for v in range(g.n):
-        if v in inside:
-            continue
-        count = sum(1 for u in g.neighbors(v) if u in inside)
-        if count > best_count:
-            best, best_count = v, count
-    if best is None:
-        raise ValueError("no vertex attaches to the solution")
-    return best
+    # The odd-k extra vertex: the outside vertex with the most neighbours in
+    # the solution, ties toward the smaller id.
+    return j_attachment(g, vertices, 1)[0]
 
 
 def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:

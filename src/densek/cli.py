@@ -80,21 +80,25 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _report_csv(runs: list, g: Graph) -> str:
+def _csv(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        ["algorithm", "k", "n", "m", "density_num", "density_den", "density",
-         "elapsed_ms", "vertices"]
-    )
-    for sol, elapsed_ms in runs:
-        dens = sol.density
-        writer.writerow(
-            [sol.algorithm, sol.k, g.n, g.m,
-             dens.numerator, dens.denominator, float(dens),
-             elapsed_ms, " ".join(map(str, sol.vertices))]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+# The columns of a solution row in both solve's CSV and bench's.
+_SOLUTION_COLUMNS = "algorithm k n m density_num density_den density".split()
+
+
+def _solution_columns(sol, g: Graph) -> list:
+    dens = sol.density
+    return [sol.algorithm, sol.k, g.n, g.m, dens.numerator, dens.denominator, float(dens)]
+
+
+def _instance(path, g: Graph) -> dict:
+    return {"path": path, "n": g.n, "m": g.m, "weighted": g.weighted}
 
 
 def _check_oracle_header(path, k: int, limit: int | None) -> None:
@@ -114,12 +118,7 @@ def cmd_solve(args) -> int:
     best = densest_solution(solutions)
     entries = [_entry(sol, elapsed_ms) for sol, elapsed_ms in runs]
     report = {
-        "instance": {
-            "path": args.input,
-            "n": g.n,
-            "m": g.m,
-            "weighted": g.weighted,
-        },
+        "instance": _instance(args.input, g),
         "k": args.k,
         "algo": args.algo,
         "entries": entries,
@@ -132,12 +131,12 @@ def cmd_solve(args) -> int:
             "density": _density_json(exact.best_density),
             "connected": True,
         }
-        if best.density > 0:
-            report["ratio"] = _density_json(exact.best_density / best.density)
-        else:
-            report["ratio"] = None
+        report["ratio"] = (_density_json(exact.best_density / best.density)
+                           if best.density > 0 else None)
     if args.format == "csv":
-        _emit(_report_csv(runs, g), args.out)
+        _emit(_csv(_SOLUTION_COLUMNS + ["elapsed_ms", "vertices"],
+                   [_solution_columns(sol, g) + [ms, " ".join(map(str, sol.vertices))]
+                    for sol, ms in runs]), args.out)
     else:
         _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
@@ -148,12 +147,7 @@ def cmd_oracle(args) -> int:
     g = load_edge_list(args.input)
     exact = brute_k(g, args.k, connected=args.connected, limit=args.oracle_limit)
     report = {
-        "instance": {
-            "path": args.input,
-            "n": g.n,
-            "m": g.m,
-            "weighted": g.weighted,
-        },
+        "instance": _instance(args.input, g),
         "k": args.k,
         "connected": args.connected,
         "vertices": list(exact.best_set),
@@ -171,19 +165,25 @@ def _require(args, names: list[str], family: str) -> None:
         )
 
 
+# The families whose generator returns a GapInstance: family -> (required
+# options, builder from the parsed arguments).
+_GAP_FAMILIES = {
+    "example1a": (["ell"], lambda a: example1a(a.ell)),
+    "example1b": (["ell"], lambda a: example1b(a.ell)),
+    "planted": (["n", "k", "p-in", "p-out"],
+                lambda a: planted(a.n, a.k, a.p_in, a.p_out, a.seed)),
+}
+
+
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    if args.family == "example1a":
-        _require(args, ["ell"], args.family)
-        instance = example1a(args.ell)
+    if args.family in _GAP_FAMILIES:
+        required, build = _GAP_FAMILIES[args.family]
+        _require(args, required, args.family)
+        instance = build(args)
         sidecar = instance.save(out)
         g = instance.graph
-    elif args.family == "example1b":
-        _require(args, ["ell"], args.family)
-        instance = example1b(args.ell)
-        sidecar = instance.save(out)
-        g = instance.graph
-    elif args.family == "gnp":
+    else:  # gnp
         _require(args, ["n", "p"], args.family)
         g = gnp(args.n, args.p, args.seed)
         sidecar = save_instance(
@@ -197,25 +197,31 @@ def cmd_gen(args) -> int:
                 "truncated": g.n != args.n,
             },
         )
-    else:  # planted
-        _require(args, ["n", "k", "p-in", "p-out"], args.family)
-        instance = planted(args.n, args.k, args.p_in, args.p_out, args.seed)
-        sidecar = instance.save(out)
-        g = instance.graph
     print(f"wrote {out} (n={g.n}, m={g.m}) with sidecar {sidecar}")
     return EXIT_OK
 
 
+def _parse_ks(text: str) -> list[int]:
+    # bench's --k as a nonempty list of integers.
+    parts = [part for part in text.split(",") if part]
+    if not parts:
+        raise ValueError(f"--k {text!r} names no k value")
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"--k {text!r} is not a comma-separated list of integers") from None
+
+
 def cmd_bench(args) -> int:
+    # --k holds for every file, so a malformed list fails the whole run,
+    # before any file is read.
+    given_ks = None if args.k is None else _parse_ks(args.k)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {corpus}")
     files = sorted(corpus.glob("*.edges"))
     if not files:
         raise ValueError(f"corpus {corpus} holds no *.edges instances")
-    # --k holds for every file, so a malformed list fails the whole run.
-    given_ks = (None if args.k is None
-                else [int(part) for part in str(args.k).split(",") if part])
     rows = []
     failed = 0
     for path in files:
@@ -252,23 +258,16 @@ def cmd_bench(args) -> int:
                          "", "", "", "", "", str(exc)]
                     )
                     continue
-                dens = sol.density
                 ratio = ""
-                if known_opt is not None and dens > 0:
-                    ratio = float(known_opt / dens)
-                rows.append(
-                    [path.name, family, sol.algorithm, k, g.n, g.m,
-                     dens.numerator, dens.denominator, float(dens),
-                     ratio, elapsed_ms, "ok"]
-                )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["instance", "family", "algorithm", "k", "n", "m", "density_num",
-         "density_den", "density", "ratio_vs_known", "elapsed_ms", "status"]
-    )
-    writer.writerows(rows)
-    Path(args.out).write_text(buffer.getvalue())
+                if known_opt is not None and sol.density > 0:
+                    ratio = float(known_opt / sol.density)
+                rows.append([path.name, family] + _solution_columns(sol, g)
+                            + [ratio, elapsed_ms, "ok"])
+    Path(args.out).write_text(_csv(
+        ["instance", "family"] + _SOLUTION_COLUMNS
+        + ["ratio_vs_known", "elapsed_ms", "status"],
+        rows,
+    ))
     print(f"wrote {len(rows)} rows to {args.out}")
     if failed:
         print(f"error: {failed} of {len(rows)} solves failed; see the status column",
@@ -345,25 +344,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Error class -> exit code; the first class that matches wins.
+_EXIT_CODES = (
+    (EdgeListError, EXIT_PARSE),
+    (AlgorithmMismatchError, EXIT_MISMATCH),
+    (OracleLimitError, EXIT_ORACLE),
+    (ValueError, EXIT_VALUE),
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AlgorithmMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALUE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -235,19 +235,10 @@ def save_instance(
     """Write the edge-list file plus the JSON sidecar describing it."""
     path = Path(path)
     save_edge_list(graph, path)
-    meta = {
-        "family": family,
-        "params": params,
-        "k": k,
-        "known_opt_num": known_opt.numerator if known_opt is not None else None,
-        "known_opt_den": known_opt.denominator if known_opt is not None else None,
-        "known_connected_num": (
-            known_connected.numerator if known_connected is not None else None
-        ),
-        "known_connected_den": (
-            known_connected.denominator if known_connected is not None else None
-        ),
-    }
+    meta = {"family": family, "params": params, "k": k}
+    for name, value in (("known_opt", known_opt), ("known_connected", known_connected)):
+        meta[f"{name}_num"] = None if value is None else value.numerator
+        meta[f"{name}_den"] = None if value is None else value.denominator
     side = sidecar_path(path)
     side.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return side

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class EdgeListError(ValueError):
@@ -41,7 +41,7 @@ class Graph:
     in input order raises EdgeError, a ValueError with its 0-based position.
     """
 
-    __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_wdeg", "_connected")
+    __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_connected")
 
     def __init__(
         self,
@@ -84,11 +84,6 @@ class Graph:
         self.weights = None if weights is None else tuple(map(weight_of.get, norm))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._weight_of = weight_of
-        wdeg = [0] * n
-        for (u, v), w in weight_of.items():
-            wdeg[u] += w
-            wdeg[v] += w
-        self._wdeg = tuple(wdeg)
         self._connected = None  # is_connected(self), computed on first use
 
     @property
@@ -111,7 +106,7 @@ class Graph:
         return len(self._adj[v])
 
     def weighted_degree(self, v: int) -> int:
-        return self._wdeg[v]
+        return sum(self.edge_weight(v, u) for u in self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self._weight_of
@@ -282,13 +277,18 @@ def densest_component_after(
     comps = components(g, rest)
     if len(comps) < 2:
         raise ValueError(f"vertex {v} is not a cut vertex")
-    best = comps[0]
-    best_d = density(g, best)
-    for comp in comps[1:]:
-        d = density(g, comp)
-        if d > best_d:
-            best, best_d = comp, d
+    best = max(comps, key=lambda c: density(g, c))
     return best, tuple(sorted(best + (v,)))
+
+
+def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
+    # The package's one ranking rule: the first count ids in (-key, id)
+    # order. Stable sorts by id, then by key descending; no sort when every
+    # id is taken anyway.
+    ids = list(ids)
+    if len(ids) <= count:
+        return set(ids)
+    return set(sorted(sorted(ids), key=key, reverse=True)[:count])
 
 
 def _bfs_fill(g: Graph, seed: set[int], target: int, members: set[int]) -> set[int]:
@@ -332,11 +332,13 @@ def j_attachment(
 ) -> tuple[int, ...]:
     """j outside vertices maximizing the edge boundary into s.
 
-    Vertices are ranked by neighbor count into s (ties: smaller id). When
-    zero-count vertices are needed the remainder is grown breadth-first from
-    everything picked so far, so each choice keeps a neighbor among s or the
-    earlier picks: if g[s] is connected, so is the union. The result
-    satisfies |members| * [s, picked] >= j * [s, everything outside s].
+    Vertices are ranked by neighbor count into s, ties toward the smaller
+    id: the package's one ranking rule, shared with highest_degree_vertices,
+    the hub scan and the weighted greedy's stars. When zero-count vertices
+    are needed the remainder is grown breadth-first from everything picked
+    so far, so each choice keeps a neighbor among s or the earlier picks:
+    if g[s] is connected, so is the union. The result satisfies
+    |members| * [s, picked] >= j * [s, everything outside s].
     """
     members = _member_set(g, within)
     sset = set(s)
@@ -353,12 +355,10 @@ def j_attachment(
         c = sum(1 for u in g.neighbors(v) if u in sset)
         if c:
             counts[v] = c
-    ranked = sorted(counts, key=lambda v: (-counts[v], v))
-    if j <= len(ranked):
-        return tuple(sorted(ranked[:j]))
-    base = sset | set(ranked)
-    grown = _bfs_fill(g, base, len(base) + (j - len(ranked)), members)
-    return tuple(sorted(grown - sset))
+    picked = _top(counts, j, counts.__getitem__)
+    if len(picked) < j:
+        picked = _bfs_fill(g, sset | picked, len(sset) + j, members) - sset
+    return tuple(sorted(picked))
 
 
 def _parse_header(line: str) -> tuple[int, int, bool]:
@@ -434,17 +434,35 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path, first_line: bool = False) -> str:
+    # The file (or its first line) decoded as UTF-8. A byte that is not
+    # UTF-8 raises EdgeListError with its line as splitlines() counts them,
+    # after a bad header on an earlier line; first_line=True keeps the text
+    # before a bad byte on a later line than the first.
+    with open(path, "rb") as fh:
+        data = fh.readline() if first_line else fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data[: exc.start].decode("utf-8")
+        line = len((text + "x").splitlines())
+        if line > 1:
+            if first_line:
+                return text
+            _parse_header(text.splitlines()[0])
+        raise EdgeListError(line, "not UTF-8 text") from None
+
+
 def load_edge_list(path, connectable: bool = False) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), connectable)
+    """parse_edge_list on a file, which must be UTF-8 text."""
+    return parse_edge_list(_read_text(path), connectable)
 
 
 def load_header(path) -> tuple[int, int, bool]:
     """(n, m, weighted) from an edge-list file's first line alone."""
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
+    text = _read_text(path, first_line=True)
     # the first line as parse_edge_list's splitlines() cuts it
-    return _parse_header(line.splitlines()[0] if line else "")
+    return _parse_header(text.splitlines()[0] if text else "")
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -2,12 +2,11 @@
 
 Plain subset enumeration, deliberately free of algorithmic cleverness so it
 can anchor every guarantee test. Size guards keep accidental blowups out of
-CI; `DENSEK_ORACLE_LIMIT` or an explicit limit argument overrides them.
+CI; an explicit limit argument overrides them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +15,6 @@ from .graph import Graph
 
 K_SUBGRAPH_LIMIT = 20
 DENSEST_LIMIT = 16
-_ENV_LIMIT = "DENSEK_ORACLE_LIMIT"
 
 
 class OracleLimitError(ValueError):
@@ -31,17 +29,8 @@ class OracleResult:
     connected_required: bool
 
 
-def _effective_limit(default: int, override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_LIMIT)
-    if env is not None:
-        return int(env)
-    return default
-
-
 def _check_size(n: int, default: int, override: int | None) -> None:
-    limit = _effective_limit(default, override)
+    limit = default if override is None else override
     if n > limit:
         raise OracleLimitError(
             f"instance too large for oracle: n={n} exceeds limit {limit}"
@@ -98,14 +87,13 @@ def brute_k(
             smask |= 1 << v
         if connected and not _connected_mask(masks, smask):
             continue
+        w = 0
         if weighted:
-            w = 0
             for v in combo:
                 for u in g.neighbors(v):
                     if u > v and (smask >> u) & 1:
                         w += g.edge_weight(v, u)
         else:
-            w = 0
             for v in combo:
                 w += ((masks[v] & smask) >> v).bit_count()
         if w > best_w:
@@ -135,9 +123,7 @@ def brute_densest(g: Graph, limit: int | None = None) -> OracleResult:
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(g.edges):
         w = g.weights[idx] if g.weighted else 1
-        if u > v:
-            u, v = v, u
-        incident[u].append((1 << v, w))
+        incident[u].append((1 << v, w))  # Graph stores each edge with u < v
     weight = [0] * (1 << n)
     best_mask = 1
     best_num = 0  # 2 * weight of the best subset

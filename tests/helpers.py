@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import densek.algorithms
-from densek.algorithms import Solution, highest_degree_vertices, prc1, prc2
+from densek.algorithms import Solution, prc1, prc2
 from densek.densest import DensestResult
 from densek.generators import Xorshift64Star, gnp
 from densek.graph import (
@@ -476,7 +476,7 @@ def alg5_hub_reference(g, k, expansion_log=None):
     Expects valid input (connected, unweighted, even k).
     """
     half = k // 2
-    hubs = set(highest_degree_vertices(g, half))
+    hubs = set(highest_degree_vertices_reference(g, half))
     rest = [v for v in range(g.n) if v not in hubs]
     rest_set = set(rest)
     walks = walk2_counts(g, excluded=hubs)
@@ -500,6 +500,69 @@ def alg5_hub_reference(g, k, expansion_log=None):
         if weight > best_weight:
             best, best_weight = out, weight
     return Solution(vertices=best, density=density(g, best), algorithm="HUB", k=k)
+
+
+def highest_degree_vertices_reference(g, count):
+    """highest_degree_vertices as it was: one sort by (-degree, id)."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    return tuple(sorted(order[:count]))
+
+
+def j_attachment_reference(g, s, j):
+    """j_attachment on the whole graph as it was: a sort by (-count, id),
+    then a breadth-first fill from s and every ranked vertex. Expects a
+    nonempty s and 1 <= j <= n - |s|."""
+    sset = set(s)
+    counts = {}
+    for v in range(g.n):
+        if v in sset:
+            continue
+        c = sum(1 for u in g.neighbors(v) if u in sset)
+        if c:
+            counts[v] = c
+    ranked = sorted(counts, key=lambda v: (-counts[v], v))
+    if j <= len(ranked):
+        return tuple(sorted(ranked[:j]))
+    chosen = sset | set(ranked)
+    target = len(chosen) + (j - len(ranked))
+    queue = deque(sorted(chosen))
+    while queue and len(chosen) < target:
+        for u in g.neighbors(queue.popleft()):
+            if u not in chosen:
+                chosen.add(u)
+                queue.append(u)
+                if len(chosen) == target:
+                    break
+    return tuple(sorted(chosen - sset))
+
+
+def attach_best_vertex_reference(g, vertices):
+    """The odd-k extra vertex as it was picked: a scan in ascending id that
+    keeps the first vertex with the most neighbours in vertices."""
+    inside = set(vertices)
+    best = None
+    best_count = 0
+    for v in range(g.n):
+        if v in inside:
+            continue
+        count = sum(1 for u in g.neighbors(v) if u in inside)
+        if count > best_count:
+            best, best_count = v, count
+    if best is None:
+        raise ValueError("no vertex attaches to the solution")
+    return best
+
+
+def densest_part_reference(g, parts):
+    """The densest of parts by a scan that keeps the first maximum, as
+    alg4 and densest_component_after picked it."""
+    best = parts[0]
+    best_d = density(g, best)
+    for part in parts[1:]:
+        d = density(g, part)
+        if d > best_d:
+            best, best_d = part, d
+    return best
 
 
 def weighted_greedy_reference(g, k):

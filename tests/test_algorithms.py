@@ -31,12 +31,13 @@ from densek import (
     run_named_algorithm,
     weighted_greedy,
 )
-from densek.algorithms import _first_non_cut, _is_cut_vertex
+from densek.algorithms import _attach_best_vertex, _first_non_cut, _is_cut_vertex
 from densek.graph import components, cut_vertices
 from helpers import (
     alg1_reference,
     alg5_hub_reference,
     assert_valid_solution,
+    attach_best_vertex_reference,
     barbell,
     bridged,
     complete,
@@ -46,6 +47,7 @@ from helpers import (
     fields_of,
     first_non_cut_reference,
     hairy_clique,
+    highest_degree_vertices_reference,
     is_removable,
     k4p,
     path,
@@ -57,7 +59,7 @@ from helpers import (
     weighted_greedy_reference,
     weighted_version,
 )
-from strategies import connected_graphs, simple_graphs
+from strategies import connected_graphs, graphs_with_subset, simple_graphs
 
 
 def assert_alg1_matches_reference(g, k):
@@ -476,6 +478,13 @@ class TestAlg4:
         assert sol.vertices == (0, 1, 2, 4)
         assert sol.density == Fraction(3, 2)
 
+    def test_density_tie_between_base_components_keeps_the_first(self):
+        # hubs 0 and 1 share no neighbour, so the base {0, 1, 2, 3} splits
+        # into two single edges; the one with the smaller ids wins the tie
+        g = Graph(8, [(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (6, 7)])
+        assert alg4_base(g, 4) == (0, 1, 2, 3)
+        assert alg4(g, 4).vertices == (0, 2, 4, 6)
+
     def test_base_is_hubs_plus_attachment(self):
         g = k4p()
         assert alg4_base(g, 4) == (0, 1, 2, 3)
@@ -497,6 +506,13 @@ class TestAlg4:
         assert highest_degree_vertices(k4p(), 0) == ()
         with pytest.raises(ValueError, match="out of range"):
             highest_degree_vertices(k4p(), 6)
+
+    @given(connected_graphs(max_n=14), st.data())
+    def test_highest_degree_matches_the_sort_it_replaced(self, g, data):
+        count = data.draw(st.integers(0, g.n))
+        assert highest_degree_vertices(g, count) == (
+            highest_degree_vertices_reference(g, count)
+        )
 
 
 class TestWalk2Counts:
@@ -647,6 +663,22 @@ class TestOddKAndSelectors:
         for sol in solutions:
             assert_valid_solution(k4p(), sol, 3)
         assert solutions[0].vertices == (0, 1, 2)
+
+    @given(graphs_with_subset(max_n=14))
+    def test_attachment_matches_the_scan_it_replaced(self, triple):
+        # most neighbours in the set, ties toward the smaller id
+        g, s, _ = triple
+        assert _attach_best_vertex(g, s) == attach_best_vertex_reference(g, s)
+
+    @given(connected_graphs(min_n=4, max_n=14), st.sampled_from([3, 5, 7]))
+    def test_odd_k_adds_the_attachment_of_the_scan_it_replaced(self, g, k):
+        if k > g.n:
+            return
+        base = alg4(g, k - 1).vertices
+        extra = attach_best_vertex_reference(g, base)
+        assert run_named_algorithm(g, k, "alg4").vertices == tuple(
+            sorted(base + (extra,))
+        )
 
     def test_combined_picks_the_densest(self):
         best = best_connected_k_subgraph(k4p(), 3)

@@ -14,6 +14,8 @@ from densek.cli import main
 
 K4P_TEXT = "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a valid header and first edge, then a byte that is not UTF-8 on line 3
+NOT_UTF8 = b"3 2\n0 1\n1 \xff2\n"
 
 
 @pytest.fixture
@@ -161,6 +163,12 @@ class TestSolveErrors:
         assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
+        assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
     def test_headerless_file_names_the_bad_id(self, capsys, tmp_path):
         # without a header, "0 1" reads as n=0, m=1
         bad = tmp_path / "bad.edges"
@@ -232,6 +240,19 @@ class TestOracleCommand:
         )
         assert code == 0
         assert report["vertices"] == [0, 1]
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        # line 1 passes the header check; the whole file is then decoded
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["oracle", "--input", str(bad), "--k", "3"]) == 3
+        assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
+    def test_header_that_is_not_utf8(self, capsys, tmp_path, no_graph_built):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"3 \xff2\n0 1\n1 2\n")
+        assert main(["oracle", "--input", str(bad), "--k", "3"]) == 3
+        assert "line 1: not UTF-8 text" in capsys.readouterr().err
 
     def test_size_guard_exit_code(self, tmp_path):
         n = 25
@@ -390,6 +411,7 @@ class TestBench:
     @pytest.mark.parametrize("text, error", [
         ("50 0\n", "n=50"),
         ("3 2\n0 1\n0 two\n", "line 3"),
+        (NOT_UTF8, "line 3: not UTF-8 text"),
     ])
     def test_file_that_fails_to_load_keeps_its_row(
         self, capsys, tmp_path, text, error
@@ -397,7 +419,7 @@ class TestBench:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "a.edges").write_text(K4P_TEXT)
-        (corpus / "b.edges").write_text(text)
+        (corpus / "b.edges").write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "out.csv"
         assert main(["bench", "--corpus", str(corpus), "--k", "4",
                      "--out", str(out)]) == 4
@@ -410,6 +432,23 @@ class TestBench:
         assert [row[-1] for row in body[:5]] == ["ok"] * 5
         assert body[5][1:-1] == [""] * 10
         assert error in body[5][-1]
+
+    @pytest.mark.parametrize("ks, error", [
+        (",", "names no k"),
+        ("", "names no k"),
+        ("4,x", "is not a comma-separated list of integers"),
+    ])
+    def test_k_list_that_names_no_k(self, capsys, tmp_path, ks, error):
+        # fails the whole run before any file is read: no CSV is written
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", ks,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"--k {ks!r} {error}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sidecar, family", [
         (None, ""),  # no --k and no sidecar

@@ -16,13 +16,17 @@ from densek.graph import (
     induced_weight,
     is_connected,
     j_attachment,
+    load_edge_list,
+    load_header,
     parse_edge_list,
 )
 from helpers import (
     complete,
     count_edges_between,
     cycle,
+    densest_part_reference,
     is_removable,
+    j_attachment_reference,
     k4p,
     path,
     star,
@@ -234,6 +238,13 @@ class TestDensestComponentAfter:
         with pytest.raises(ValueError):
             densest_component_after(k4p(), 0)
 
+    @given(connected_graphs(max_n=14, max_extra=6))
+    def test_pick_matches_the_scan_it_replaced(self, g):
+        for v in cut_vertices(g):
+            side, _ = densest_component_after(g, v)
+            rest = set(range(g.n)) - {v}
+            assert side == densest_part_reference(g, components(g, rest))
+
 
 class TestJAttachment:
     def test_star_ties_by_id(self):
@@ -266,6 +277,13 @@ class TestJAttachment:
         got = count_edges_between(g, s, picked)
         total = count_edges_between(g, s, outside)
         assert g.n * got >= j * total
+
+    @given(graphs_with_subset(max_n=14))
+    def test_ranking_matches_the_sort_it_replaced(self, triple):
+        # most edges into s first, ties toward the smaller id, then the
+        # breadth-first fill
+        g, s, j = triple
+        assert j_attachment(g, s, j) == j_attachment_reference(g, s, j)
 
     @given(graphs_with_subset(max_n=9))
     def test_union_connected_when_seed_connected(self, triple):
@@ -357,6 +375,34 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n1 1\n0 x\n")
         assert err.value.line == 3
         assert "integers" in str(err.value)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff3 1\n0 1\n", 1),
+        (b"3 1\n0 1\xff\n", 2),
+        (b"3 1\r0 1\xff\n", 2),  # a line break other than \n
+        (b"3 2\n0 1\n1 2\n\n\xe2\x82", 5),  # cut off inside a character
+    ])
+    def test_file_that_is_not_utf8_names_its_line(self, tmp_path, data, line):
+        target = tmp_path / "bad.edges"
+        target.write_bytes(data)
+        with pytest.raises(EdgeListError) as err:
+            load_edge_list(target)
+        assert err.value.line == line
+        assert "not UTF-8 text" in str(err.value)
+
+    def test_bad_header_before_a_later_bad_byte(self, tmp_path):
+        target = tmp_path / "bad.edges"
+        target.write_bytes(b"3 x\n0 1\xff\n")
+        with pytest.raises(EdgeListError, match="line 1: vertex and edge counts"):
+            load_edge_list(target)
+
+    def test_header_reads_line_one_alone(self, tmp_path):
+        target = tmp_path / "bad.edges"
+        target.write_bytes(b"3 1 weighted\r0 1 \xff\n")
+        assert load_header(target) == (3, 1, True)
+        target.write_bytes(b"3 \xff1\n0 1\n")
+        with pytest.raises(EdgeListError, match="line 1: not UTF-8 text"):
+            load_header(target)
 
     def test_trailing_blank_lines_ok(self):
         assert parse_edge_list("2 1\n0 1\n\n  \n") == path(2)

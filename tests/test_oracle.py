@@ -113,18 +113,9 @@ class TestSizeGuards:
     def test_brute_densest_limit_argument_overrides(self):
         assert brute_densest(path(17), limit=17).best_density == Fraction(2 * 16, 17)
 
-    def test_env_var_tightens_guard(self, monkeypatch):
-        monkeypatch.setenv("DENSEK_ORACLE_LIMIT", "8")
+    def test_limit_argument_tightens_guard(self):
         with pytest.raises(OracleLimitError, match="exceeds limit 8"):
-            brute_k(path(9), 2)
-
-    def test_env_var_loosens_guard(self, monkeypatch):
-        monkeypatch.setenv("DENSEK_ORACLE_LIMIT", "22")
-        assert brute_k(path(21), 2).best_density == 1
-
-    def test_limit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("DENSEK_ORACLE_LIMIT", "5")
-        assert brute_k(path(9), 2, limit=10).best_density == 1
+            brute_k(path(9), 2, limit=8)
 
     def test_guard_error_is_a_value_error(self):
         assert issubclass(OracleLimitError, ValueError)

@@ -18,7 +18,8 @@ from typing import Callable, Iterable
 from .densest import densest_connected_subgraph
 from .graph import (
     Graph,
-    _bfs_fill,
+    _bfs,
+    _counts_into,
     _member_set,
     _top,
     components,
@@ -100,10 +101,6 @@ def _check_even_input(g: Graph, k: int) -> None:
         raise ValueError("input graph must be connected")
 
 
-def _degrees_in(g: Graph, view: set[int]) -> dict[int, int]:
-    return {v: sum(1 for u in g.neighbors(v) if u in view) for v in view}
-
-
 def _removable_in(view: set[int], deg: dict[int, int], edges: int) -> list[int]:
     # v is removable iff deleting it strictly raises density:
     # 2(m - d(v))/(s - 1) > 2m/s  <=>  d(v) * s < m.
@@ -180,7 +177,8 @@ def _stalled_view(
         raise ValueError(f"{name} needs a vertex view strictly larger than k")
     if not is_connected(g, view):
         raise ValueError(f"{name} needs a connected vertex view")
-    return view, _removable_in(view, _degrees_in(g, view), induced_weight(g, view))
+    deg = _counts_into(g, view, view)
+    return view, _removable_in(view, deg, sum(deg.values()) // 2)
 
 
 def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -362,8 +360,8 @@ def alg1(g: Graph, k: int) -> Solution:
         if descend is None:
             return _make_solution(g, prc2(g, k, within=view), ALG1, k)
         view = set(descend)
-        deg = _degrees_in(g, view)
-        edges = induced_weight(g, view)
+        deg = _counts_into(g, view, view)
+        edges = sum(deg.values()) // 2
 
 
 def alg3(g: Graph, k: int) -> Solution:
@@ -417,9 +415,9 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     their count of two-step walks from the hub through middle vertices
     outside H, and up to k/2 neighbours outside H, ranked by their number
     of neighbours among the partners; both rankings break ties toward the
-    smaller id. The hub's component of
-    that group is grown to k vertices by expand_to_k's breadth-first search
-    in the whole graph. The candidate with the most induced edges wins;
+    smaller id. The hub's component of that group, and its growth to k
+    vertices in the whole graph, come from the breadth-first search that
+    expand_to_k uses. The candidate with the most induced edges wins;
     ties keep the earliest hub. Per hub the work is local: its two-step
     neighbourhood outside H and the growth to k, never a whole-graph pass.
     """
@@ -441,20 +439,10 @@ def alg5_hub(g: Graph, k: int) -> Solution:
         del walks[hub]
         partners = _top(walks, half - 1, walks.__getitem__)
         near = _top(free[hub], half, lambda u: len(adjacent[u] & partners))
-        # The hub's component of the group: near vertices touch the hub, so
-        # the search only has to reach partners, through the component.
-        comp = {hub} | near
-        pending = partners - comp
-        queue = list(comp)
-        for v in queue:
-            if not pending:
-                break
-            found = adjacent[v] & pending
-            if found:
-                comp |= found
-                pending -= found
-                queue.extend(found)
-        out = _bfs_fill(g, comp, k, everything)
+        # The hub's component of its group. Near vertices touch the hub, so
+        # all of them are in it; partners only through a path in the group.
+        comp = _bfs(g, {hub}, {hub} | near | partners)
+        out = _bfs(g, comp, everything, k)
         if emit is not None:
             emit("expand", seed=tuple(sorted(comp)), out=tuple(sorted(out)))
         weight = sum(map(len, map(out.intersection, map(adjacent.__getitem__, out))))

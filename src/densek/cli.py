@@ -355,7 +355,10 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.oracle_limit is not None and not args.oracle:
+        parser.error("solve: --oracle-limit needs --oracle")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -5,11 +5,17 @@ outputs everywhere. Induced subgraphs are vertex masks (``within=``)
 against a host Graph, not copies: the solvers re-induce constantly and
 copying would dominate their runtime. Density comparisons are exact
 rationals (`fractions.Fraction`); no float ever drives a decision.
+
+Every growth of a vertex set in the package, and every component, comes
+from one breadth-first search, `_bfs`, in one order: its queue starts as
+the seed sorted by id, and each vertex's neighbours are taken in ascending
+id. That order fixes which vertices expand_to_k, j_attachment and the hub
+scan add, and so the outputs of every solver.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable
@@ -82,7 +88,10 @@ class Graph:
         self.n = n
         self.edges = tuple(norm)
         self.weights = None if weights is None else tuple(map(weight_of.get, norm))
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        # Already sorted: the edges come in ascending (u, v) order, so each
+        # vertex gets its smaller neighbours first, ascending (as the v of
+        # an edge), then its larger ones, ascending (as the u).
+        self._adj = tuple(map(tuple, adj))
         self._weight_of = weight_of
         self._connected = None  # is_connected(self), computed on first use
 
@@ -172,19 +181,10 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[tuple[int, ...]
     out = []
     unseen = set(members)
     for start in sorted(members):
-        if start not in unseen:
-            continue
-        comp = {start}
-        unseen.discard(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u in unseen:
-                    unseen.discard(u)
-                    comp.add(u)
-                    queue.append(u)
-        out.append(tuple(sorted(comp)))
+        if start in unseen:
+            comp = _bfs(g, {start}, unseen)
+            unseen -= comp
+            out.append(tuple(sorted(comp)))
     return out
 
 
@@ -201,7 +201,7 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
     members = _member_set(g, s)
     if not members:
         return False
-    return len(components(g, members)) == 1
+    return len(_bfs(g, {min(members)}, members)) == len(members)
 
 
 def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -291,9 +291,13 @@ def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
     return set(sorted(sorted(ids), key=key, reverse=True)[:count])
 
 
-def _bfs_fill(g: Graph, seed: set[int], target: int, members: set[int]) -> set[int]:
-    # Breadth-first growth, neighbors in ascending id; queue starts sorted.
+def _bfs(g: Graph, seed: set[int], members, limit: int | None = None) -> set[int]:
+    # The package's one breadth-first search: seed grown inside members, the
+    # queue starting sorted and neighbours taken in ascending id. It stops
+    # once limit vertices are chosen (default: all of members), and a limit
+    # it cannot reach is an error.
     chosen = set(seed)
+    target = len(members) if limit is None else limit
     queue = deque(sorted(chosen))
     while queue and len(chosen) < target:
         v = queue.popleft()
@@ -302,11 +306,17 @@ def _bfs_fill(g: Graph, seed: set[int], target: int, members: set[int]) -> set[i
                 continue
             chosen.add(u)
             queue.append(u)
-            if len(chosen) == target:
+            if len(chosen) >= target:
                 break
-    if len(chosen) < target:
+    if limit is not None and len(chosen) < limit:
         raise ValueError("cannot grow the set to the requested size")
     return chosen
+
+
+def _counts_into(g: Graph, s: Iterable[int], among) -> Counter:
+    # For each vertex of among, its number of neighbours in s, counted from
+    # s's side; vertices with none are left out.
+    return Counter(u for v in s for u in g.neighbors(v) if u in among)
 
 
 def expand_to_k(
@@ -324,7 +334,7 @@ def expand_to_k(
         raise ValueError(f"seed has {len(sset)} vertices, more than k={k}")
     if k > len(members):
         raise ValueError(f"k={k} exceeds the graph size {len(members)}")
-    return tuple(sorted(_bfs_fill(g, sset, k, members)))
+    return tuple(sorted(_bfs(g, sset, members, k)))
 
 
 def j_attachment(
@@ -348,16 +358,10 @@ def j_attachment(
         raise ValueError("base set leaves the graph")
     if not 1 <= j <= len(members) - len(sset):
         raise ValueError(f"j={j} out of range 1..{len(members) - len(sset)}")
-    counts = {}
-    for v in members:
-        if v in sset:
-            continue
-        c = sum(1 for u in g.neighbors(v) if u in sset)
-        if c:
-            counts[v] = c
+    counts = _counts_into(g, sset, members - sset)
     picked = _top(counts, j, counts.__getitem__)
     if len(picked) < j:
-        picked = _bfs_fill(g, sset | picked, len(sset) + j, members) - sset
+        picked = _bfs(g, sset | picked, members, len(sset) + j) - sset
     return tuple(sorted(picked))
 
 

@@ -450,6 +450,26 @@ def alg1_reference(g, k, density_log=None):
         edges = induced_weight(g, view)
 
 
+def components_reference(g, s):
+    """Components of g[s] by union-find over the edges inside s, each
+    sorted, ordered by smallest member: the reference for the search."""
+    members = set(s)
+    parent = {v: v for v in members}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        if u in members and v in members:
+            parent[find(u)] = find(v)
+    groups = {}
+    for v in sorted(members):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(map(tuple, groups.values()))
+
+
 def first_non_cut_reference(g, view, candidates):
     """alg1's and prc2's candidate scan as it was, with a whole-view DFS.
 

@@ -11,7 +11,6 @@ import densek.cli
 import densek.graph
 from densek import (
     Graph,
-    Solution,
     alg1,
     alg3,
     alg4,
@@ -23,7 +22,6 @@ from densek import (
     format_edge_list,
     gnp,
     highest_degree_vertices,
-    induced_weight,
     is_connected,
     prc1,
     prc2,

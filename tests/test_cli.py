@@ -212,6 +212,14 @@ class TestSolveErrors:
             main(["solve", "--input", str(k4p_file), "--k", "4", "--algo", "bogus"])
         assert info.value.code == 2
 
+    def test_oracle_limit_without_oracle_exits_two(self, capsys, k4p_file):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", str(k4p_file), "--k", "3", "--oracle-limit", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--oracle-limit needs --oracle" in captured.err
+
 
 class TestOracleCommand:
     def test_connected_optimum(self, capsys, k4p_file):

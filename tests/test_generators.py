@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from densek import (
-    Graph,
     Xorshift64Star,
     brute_k,
     density,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from densek.graph import (
     EdgeError,
@@ -22,6 +23,7 @@ from densek.graph import (
 )
 from helpers import (
     complete,
+    components_reference,
     count_edges_between,
     cycle,
     densest_part_reference,
@@ -33,7 +35,7 @@ from helpers import (
     triangles_through_cut,
     two_triangles_path3,
 )
-from strategies import connected_graphs, graphs_with_subset
+from strategies import connected_graphs, graphs_with_subset, simple_graphs
 
 
 class TestGraphBasics:
@@ -42,6 +44,19 @@ class TestGraphBasics:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3
         assert g.edges == ((0, 1), (0, 2), (0, 3))
+
+    @given(simple_graphs(max_n=12), st.data())
+    def test_adjacency_sorted_from_shuffled_flipped_edges(self, g, data):
+        # Graph keeps its adjacency lists in the order it builds them, which
+        # must come out sorted whatever the order and orientation of the input
+        edges = data.draw(st.permutations(g.edges))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                   max_size=len(edges)))
+        h = Graph(g.n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)])
+        assert h == g
+        for v in range(h.n):
+            ends = sorted(u for e in g.edges if v in e for u in e if u != v)
+            assert h.neighbors(v) == tuple(ends)
 
     def test_weighted_accessors(self):
         g = Graph(3, [(1, 2), (0, 1)], [7, 2])
@@ -188,6 +203,13 @@ class TestComponents:
         comps = components(g)
         assert comps == [tuple(range(g.n))]
 
+    @given(graphs_with_subset(max_n=12))
+    def test_any_subset_matches_union_find(self, case):
+        g, s, _ = case
+        expected = components_reference(g, s)
+        assert components(g, s) == expected
+        assert is_connected(g, s) == (len(expected) == 1)
+
 
 class TestCutVertices:
     def test_path(self):
@@ -300,6 +322,11 @@ class TestExpandToK:
 
     def test_already_at_k(self):
         assert expand_to_k(path(4), [1, 2], 2) == (1, 2)
+
+    def test_search_order(self):
+        # the queue starts sorted and neighbours come in ascending id
+        assert expand_to_k(cycle(6), [3, 2], 3) == (1, 2, 3)
+        assert expand_to_k(cycle(6), [0], 2) == (0, 1)
 
     def test_size_errors(self):
         with pytest.raises(ValueError, match="more than k=2"):

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "densek"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_statements():
@@ -15,5 +16,56 @@ def test_no_assert_statements():
         for path in files
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def unread_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import binds that the module never reads.
+
+    A name listed in a module-level __all__ counts as read, and so does a
+    __future__ import. ``import a.b`` binds, and is read as, ``a``.
+    """
+    tree = ast.parse(source)
+    bound = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(line, name) for line, name in bound
+            if name not in read and name not in exported]
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "d()\n"
+    )
+    assert unread_imports(source) == [(2, "os"), (3, "b")]
+
+
+def test_every_import_is_read():
+    # no linter runs here, so the package and the tests check themselves
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 10
+    found = [
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in files
+        for line, name in unread_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []

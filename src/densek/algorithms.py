@@ -19,9 +19,9 @@ from .densest import densest_connected_subgraph
 from .graph import (
     Graph,
     _bfs,
-    _counts_into,
     _member_set,
     _top,
+    _view_degrees,
     components,
     densest_component_after,
     density,
@@ -101,11 +101,12 @@ def _check_even_input(g: Graph, k: int) -> None:
         raise ValueError("input graph must be connected")
 
 
-def _removable_in(view: set[int], deg: dict[int, int], edges: int) -> list[int]:
-    # v is removable iff deleting it strictly raises density:
+def _removable_in(deg: dict[int, int], edges: int) -> list[int]:
+    # The removable vertices of the view that deg holds, id-sorted. v is
+    # removable iff deleting it strictly raises density:
     # 2(m - d(v))/(s - 1) > 2m/s  <=>  d(v) * s < m.
-    size = len(view)
-    return sorted(v for v in view if deg[v] * size < edges)
+    size = len(deg)
+    return sorted(v for v, d in deg.items() if d * size < edges)
 
 
 def _is_cut_vertex(g: Graph, view: set[int], v: int) -> bool:
@@ -167,7 +168,8 @@ def _stalled_view(
     g: Graph, k: int, within: Iterable[int] | None, name: str
 ) -> tuple[set[int], list[int]]:
     # The checks prc1 and prc2 share, in order, with the procedure's name in
-    # each message: the view and its removable vertices, id-sorted.
+    # each message: the view and its removable vertices, id-sorted. One walk
+    # over the view checks that it is connected and counts its degrees.
     if g.weighted:
         raise ValueError(f"{name} accepts unweighted graphs only")
     if k < 2 or k % 2:
@@ -175,10 +177,10 @@ def _stalled_view(
     view = _member_set(g, within)
     if len(view) <= k:
         raise ValueError(f"{name} needs a vertex view strictly larger than k")
-    if not is_connected(g, view):
+    deg = _view_degrees(g, view)
+    if deg is None:
         raise ValueError(f"{name} needs a connected vertex view")
-    deg = _counts_into(g, view, view)
-    return view, _removable_in(view, deg, sum(deg.values()) // 2)
+    return view, _removable_in(deg, sum(deg.values()) // 2)
 
 
 def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -297,7 +299,11 @@ def alg1(g: Graph, k: int) -> Solution:
     neighbours lose degree, and rebuilt only when a phase starts. A step
     scans that list for the first vertex that is not a cut vertex, each
     tested by a local search from its neighbours whose cost is bounded by
-    its degree times the smaller side; a leaf needs no search.
+    its degree times the smaller side; a leaf needs no search. Deleting a
+    non-cut vertex keeps every cut vertex of the view a cut vertex, unless
+    the deleted vertex was a leaf on it. So a vertex found to be a cut
+    vertex leaves the list for the rest of the phase, and returns to it
+    only when a leaf on it is peeled.
     When peeling stalls above k vertices, hand over to prc1 (no removable
     vertex left) or prc2 (all dense sides small).
     """
@@ -310,25 +316,42 @@ def alg1(g: Graph, k: int) -> Solution:
         if emit is not None:
             emit("peel_phase", density=Fraction(2 * edges, len(view)))
         size = len(view)
-        removable = _removable_in(view, deg, edges)
-        admitted = set(removable)
         # `removable` is admitted: every vertex below degree `level`, the
-        # least degree d with d * size >= edges. The others wait in buckets
-        # by degree; a vertex joins a bucket at each degree it reaches, so a
-        # bucket entry not yet admitted has exactly that bucket's degree.
+        # least degree d with d * size >= edges, so the vertices that
+        # _removable_in picks. The others wait in buckets by degree; a
+        # vertex joins a bucket at each degree it reaches, so a bucket entry
+        # not yet admitted has exactly that bucket's degree.
         level = -(-edges // size)
+        removable = []
         buckets: dict[int, list[int]] = {}
-        for v in view:
-            if v not in admitted:
-                buckets.setdefault(deg[v], []).append(v)
+        for v, d in deg.items():
+            if d < level:
+                removable.append(v)
+            else:
+                buckets.setdefault(d, []).append(v)
+        removable.sort()
+        admitted = set(removable)
+        # Removable vertices found to be cut vertices, kept out of the list.
+        cuts: set[int] = set()
         while size > k:
             pick = _first_non_cut(g, view, removable)
             if pick is None:
                 break
-            del removable[bisect_left(removable, pick)]
+            at = bisect_left(removable, pick)
+            if at:
+                cuts.update(removable[:at])
+            del removable[: at + 1]
             view.remove(pick)
             size -= 1
-            edges -= deg.pop(pick)
+            lost = deg.pop(pick)
+            edges -= lost
+            if lost == 1 and cuts:
+                # pick was a leaf, perhaps the only other side of the vertex
+                # it hangs on
+                [u] = (u for u in g.neighbors(pick) if u in view)
+                if u in cuts:
+                    cuts.remove(u)
+                    insort(removable, u)
             for u in g.neighbors(pick):
                 if u in view:
                     d = deg[u] = deg[u] - 1
@@ -349,6 +372,7 @@ def alg1(g: Graph, k: int) -> Solution:
                 emit("peel", density=Fraction(2 * edges, size))
         if size == k:
             return _make_solution(g, view, ALG1, k)
+        removable = sorted(cuts.union(removable))
         if not removable:
             return _make_solution(g, prc1(g, k, within=view), ALG1, k)
         descend = None
@@ -360,7 +384,9 @@ def alg1(g: Graph, k: int) -> Solution:
         if descend is None:
             return _make_solution(g, prc2(g, k, within=view), ALG1, k)
         view = set(descend)
-        deg = _counts_into(g, view, view)
+        deg = _view_degrees(g, view)
+        if deg is None:
+            raise RuntimeError("alg1: a dense side must be connected")
         edges = sum(deg.values()) // 2
 
 

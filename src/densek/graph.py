@@ -10,14 +10,16 @@ Every growth of a vertex set in the package, and every component, comes
 from one breadth-first search, `_bfs`, in one order: its queue starts as
 the seed sorted by id, and each vertex's neighbours are taken in ascending
 id. That order fixes which vertices expand_to_k, j_attachment and the hub
-scan add, and so the outputs of every solver.
+scan add, and so the outputs of every solver. The one other walk,
+`_view_degrees`, checks a view and counts its degrees; it adds no vertex to
+anything, so its order fixes no output.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 
@@ -196,7 +198,7 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
     """
     if s is None:
         if g._connected is None:
-            g._connected = g.n > 0 and len(components(g)) == 1
+            g._connected = g.n > 0 and len(_bfs(g, {0}, range(g.n))) == g.n
         return g._connected
     members = _member_set(g, s)
     if not members:
@@ -210,8 +212,10 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
     Iterative lowlink DFS over the whole view; errors if the induced graph
     is disconnected. The solvers do not call it: alg1's peel and prc2's
     pruning ask about one candidate at a time, and answer with a local
-    search from the candidate's neighbours. It stays as the whole-view
-    reference that the tests check that search against.
+    search from the candidate's neighbours; alg1 keeps each "cut" answer
+    for the rest of its peeling phase, unless it peels a leaf hanging on
+    that vertex. It stays as the whole-view reference that the tests check
+    that search against.
     """
     members = _member_set(g, within)
     if not members:
@@ -319,6 +323,31 @@ def _counts_into(g: Graph, s: Iterable[int], among) -> Counter:
     return Counter(u for v in s for u in g.neighbors(v) if u in among)
 
 
+def _view_degrees(g: Graph, view: set[int]) -> dict[int, int] | None:
+    # Each vertex of the nonempty view with its number of neighbours in the
+    # view, or None when g[view] is disconnected. One walk from min(view),
+    # a level at a time: the neighbour lists of a level are kept, and its
+    # unseen neighbours in the view form the next level. A view vertex is
+    # then listed once per neighbour reached, which is every neighbour in
+    # the view when the walk misses none. A level costs a few list and set
+    # calls, so the work per vertex runs in C; a long path, one vertex per
+    # level, is the slow case.
+    adj = g._adj
+    start = min(view)
+    unseen = view - {start}
+    level = [start]
+    listed: list[int] = []
+    while level:
+        reached = list(chain.from_iterable(map(adj.__getitem__, level)))
+        listed += reached
+        level = unseen.intersection(reached)
+        unseen -= level
+    if unseen:
+        return None
+    counts = Counter(listed)
+    return dict(zip(view, map(counts.__getitem__, view)))
+
+
 def expand_to_k(
     g: Graph, s: Iterable[int], k: int, within: Iterable[int] | None = None
 ) -> tuple[int, ...]:
@@ -350,16 +379,17 @@ def j_attachment(
     if g[s] is connected, so is the union. The result satisfies
     |members| * [s, picked] >= j * [s, everything outside s].
     """
-    members = _member_set(g, within)
+    # The whole graph is tested as a range, as in expand_to_k.
+    members = range(g.n) if within is None else _member_set(g, within)
     sset = set(s)
     if not sset:
         raise ValueError("attachment needs a nonempty base set")
-    if not sset <= members:
+    if not all(v in members for v in sset):
         raise ValueError("base set leaves the graph")
     if not 1 <= j <= len(members) - len(sset):
         raise ValueError(f"j={j} out of range 1..{len(members) - len(sset)}")
-    counts = _counts_into(g, sset, members - sset)
-    picked = _top(counts, j, counts.__getitem__)
+    counts = _counts_into(g, sset, members)
+    picked = _top(counts.keys() - sset, j, counts.__getitem__)
     if len(picked) < j:
         picked = _bfs(g, sset | picked, members, len(sset) + j) - sset
     return tuple(sorted(picked))

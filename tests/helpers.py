@@ -133,6 +133,20 @@ def hairy_clique(core, side):
     return Graph(2 * core + core * side, edges)
 
 
+def clique_chain(sizes):
+    """Cliques of the given sizes on consecutive ids, in a path: a bridge
+    joins the last vertex of each clique to the first of the next."""
+    edges = []
+    first = 0
+    for size in sizes:
+        if first:
+            edges.append((first - 1, first))
+        clique = range(first, first + size)
+        edges += [(u, v) for u in clique for v in clique if u < v]
+        first += size
+    return Graph(first, edges)
+
+
 def bridged(a, b, inner):
     """a and a copy of b on ids a.n.., joined by a path with inner vertices
     from vertex 0 of a to the copy of vertex 0 of b."""

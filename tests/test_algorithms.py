@@ -38,6 +38,7 @@ from helpers import (
     attach_best_vertex_reference,
     barbell,
     bridged,
+    clique_chain,
     complete,
     connected_corpus,
     cycle,
@@ -67,6 +68,20 @@ def assert_alg1_matches_reference(g, k):
         sol = alg1(g, k)
     assert sol == alg1_reference(g, k, ref_log)
     assert peel_log(events) == ref_log
+
+
+def cut_tests(monkeypatch):
+    """The vertices densek.algorithms._is_cut_vertex is asked about from
+    now on, in call order."""
+    tested = []
+    is_cut_vertex = densek.algorithms._is_cut_vertex
+
+    def counting(g, view, v):
+        tested.append(v)
+        return is_cut_vertex(g, view, v)
+
+    monkeypatch.setattr(densek.algorithms, "_is_cut_vertex", counting)
+    return tested
 
 
 K5_WITH_TAIL = Graph(
@@ -319,6 +334,11 @@ class TestPrc2:
         with pytest.raises(ValueError, match="cut vertex"):
             prc2(k4p(), 2)
 
+    def test_rejects_disconnected_view(self):
+        # the barbell's two K6s without the path joining them
+        with pytest.raises(ValueError, match="needs a connected vertex view"):
+            prc2(barbell(6, 6), 10, within=range(12))
+
     def test_rejects_small_views_and_odd_k(self):
         with pytest.raises(ValueError, match="strictly larger"):
             prc2(cycle(4), 4)
@@ -404,6 +424,31 @@ class TestAlg1:
         # stalls the peel (prc1 or prc2), or is reached by it
         for k in (10, g.n // 4 * 2, g.n - g.n % 2 - 10):
             assert_alg1_matches_reference(g, k)
+
+    @pytest.mark.parametrize("g, k", [
+        (clique_chain([3, 3, 7, 3, 3, 5] * 10), 6),  # n = 240
+        (hairy_clique(80, 6), 16),  # n = 640
+    ])
+    def test_cut_vertices_are_not_tested_again(self, monkeypatch, g, k):
+        # a vertex found to be a cut vertex keeps that verdict for the rest
+        # of its phase; testing every earlier candidate again at each step
+        # took 1,526 and 20,400 tests here
+        tested = cut_tests(monkeypatch)
+        sol = alg1(g, k)
+        assert len(tested) <= 2 * g.n
+        assert sol == alg1_reference(g, k)
+
+    def test_a_leaf_peeled_off_a_cut_vertex_clears_its_verdict(self, monkeypatch):
+        # 0 joins the K7 on 1..7 to the leaf 8, so it is a cut vertex until
+        # 8 is peeled; then it is a leaf itself and goes next
+        g = Graph(9, [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
+                  + [(0, 1), (0, 8)])
+        tested = cut_tests(monkeypatch)
+        with recording() as events:
+            sol = alg1(g, 4)
+        assert tested == [0, 8, 0]
+        assert peel_log(events) == [[Fraction(46, 9), Fraction(44, 8), 6]]
+        assert sol == alg1_reference(g, 4)
 
     def test_whole_graph_when_k_equals_n(self):
         sol = alg1(cycle(6), 6)
@@ -821,15 +866,15 @@ class TestDispatch:
         # the Graph keeps its connectivity, so two solves search it once
         g = gnp(40, 0.15, 3)
         searched = []
-        components = densek.graph.components
+        bfs = densek.graph._bfs
 
-        def counting(h, s=None):
-            members = None if s is None else set(s)
-            if members is None or len(members) == h.n:
+        def counting(h, seed, members, limit=None):
+            # a search for all of h's vertices, not a growth to a size
+            if limit is None and len(members) == h.n:
                 searched.append(h)
-            return components(h, members)
+            return bfs(h, seed, members, limit)
 
-        monkeypatch.setattr(densek.graph, "components", counting)
+        monkeypatch.setattr(densek.graph, "_bfs", counting)
         best_connected_k_subgraph(g, 4)
         best_connected_k_subgraph(g, 5)
         assert searched == [g]

@@ -8,6 +8,8 @@ from densek.graph import (
     EdgeError,
     EdgeListError,
     Graph,
+    _counts_into,
+    _view_degrees,
     components,
     cut_vertices,
     densest_component_after,
@@ -209,6 +211,24 @@ class TestComponents:
         expected = components_reference(g, s)
         assert components(g, s) == expected
         assert is_connected(g, s) == (len(expected) == 1)
+
+    @given(graphs_with_subset(max_n=12))
+    def test_view_walk_matches_the_count_and_the_components(self, case):
+        # one walk: None exactly when the view is disconnected, else every
+        # vertex's neighbours in the view, as counted from the view's side
+        g, s, _ = case
+        deg = _view_degrees(g, set(s))
+        if len(components_reference(g, s)) > 1:
+            assert deg is None
+        else:
+            counts = _counts_into(g, s, set(s))
+            assert deg == {v: counts[v] for v in s}
+
+    def test_view_walk_on_fixed_views(self):
+        g = triangles_through_cut()
+        assert _view_degrees(g, {3}) == {3: 0}
+        assert _view_degrees(g, {2, 3, 4}) == {2: 1, 3: 2, 4: 1}
+        assert _view_degrees(g, {0, 1, 2, 4, 5, 6}) is None
 
 
 class TestCutVertices:

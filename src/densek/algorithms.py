@@ -8,10 +8,10 @@ run in ascending id order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -193,9 +193,10 @@ def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     if removable:
         raise ValueError("prc1 input must have no removable vertex")
     half = k // 2
-    seed = expand_to_k(g, [min(view)], half, within=view)
+    # expand_to_k's checks hold: _stalled_view found the view connected, > k.
+    seed = _bfs(g, {min(view)}, view, half)
     attachment = j_attachment(g, seed, half, within=view)
-    return tuple(sorted(set(seed) | set(attachment)))
+    return tuple(sorted(seed.union(attachment)))
 
 
 def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -210,30 +211,25 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
         raise ValueError("prc2 needs at least one removable vertex")
     side: dict[int, set[int]] = {}
     for r in removable:
-        comp, _ = densest_component_after(g, r, within=view)
+        comp = densest_component_after(g, r, within=view)
         if len(comp) >= k:
             raise ValueError("prc2 requires every dense side to have under k vertices")
         side[r] = set(comp)
 
-    # Contraction pass: each processed vertex keeps representing the dense
-    # side pruned behind it. Those sides are pairwise disjoint by the time
-    # the loop ends, so block sizes add up to the original view size.
+    # Contraction, one pass in id order: a removable vertex still surviving
+    # at its turn contracts its dense side into itself; one already inside
+    # an earlier survivor's side is gone with it. The sides of the survivors
+    # are then pairwise disjoint, so block sizes add up to the view size.
     surviving = set(view)
-    pending = set(removable)
-    while pending:
-        r = min(pending)
-        surviving -= side[r]
-        pending -= side[r]
-        pending.discard(r)
-    removable_set = set(removable)
+    for r in removable:
+        if r in surviving:
+            surviving -= side[r]
     claimed: set[int] = set()
-    for r in sorted(removable_set & surviving):
+    for r in filter(surviving.__contains__, removable):
         if side[r] & claimed:
             raise RuntimeError("prc2: dense sides of survivors must be disjoint")
         claimed |= side[r]
-    theta = {
-        v: (len(side[v]) + 1 if v in removable_set else 1) for v in surviving
-    }
+    theta = {v: len(side.get(v, ())) + 1 for v in surviving}
     if sum(theta.values()) != len(view):
         raise RuntimeError("prc2: block sizes must cover the whole view")
 
@@ -267,8 +263,8 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     j = min(half, len(surviving) - len(chosen))
     attachment = j_attachment(g, chosen, j, within=surviving)
     with_blocks = set(chosen)
-    for r in removable_set & chosen:
-        with_blocks |= side[r]
+    for r in chosen:
+        with_blocks |= side.get(r, set())
     with_attachment = chosen | set(attachment)
     if emit is not None:
         emit(
@@ -294,16 +290,15 @@ def alg1(g: Graph, k: int) -> Solution:
     Each step deletes the smallest-id vertex v with d(v)*|V| < |E| that is
     not a cut vertex of the view. Within a peeling phase |E|/|V| strictly
     rises with each deletion and degrees only fall, so a removable vertex
-    stays removable until it is peeled: the removable vertices are kept in
-    an id-sorted list, fed from degree buckets as the threshold rises and
-    neighbours lose degree, and rebuilt only when a phase starts. A step
-    scans that list for the first vertex that is not a cut vertex, each
-    tested by a local search from its neighbours whose cost is bounded by
-    its degree times the smaller side; a leaf needs no search. Deleting a
-    non-cut vertex keeps every cut vertex of the view a cut vertex, unless
-    the deleted vertex was a leaf on it. So a vertex found to be a cut
-    vertex leaves the list for the rest of the phase, and returns to it
-    only when a leaf on it is peeled.
+    stays removable until it is peeled: the candidates are kept in a heap,
+    fed from degree buckets as the threshold rises and neighbours lose
+    degree, and rebuilt only when a phase starts. A step pops the smallest
+    candidate until one is not a cut vertex, each tested by a local search
+    from its neighbours whose cost is bounded by its degree times the
+    smaller side; a leaf needs no search. Deleting a non-cut vertex keeps
+    every cut vertex of the view a cut vertex, unless the deleted vertex
+    was a leaf on it. So a popped cut vertex stays out of the heap for the
+    rest of the phase, and returns to it only when a leaf on it is peeled.
     When peeling stalls above k vertices, hand over to prc1 (no removable
     vertex left) or prc2 (all dense sides small).
     """
@@ -316,74 +311,64 @@ def alg1(g: Graph, k: int) -> Solution:
         if emit is not None:
             emit("peel_phase", density=Fraction(2 * edges, len(view)))
         size = len(view)
-        # `removable` is admitted: every vertex below degree `level`, the
-        # least degree d with d * size >= edges, so the vertices that
-        # _removable_in picks. The others wait in buckets by degree; a
-        # vertex joins a bucket at each degree it reaches, so a bucket entry
-        # not yet admitted has exactly that bucket's degree.
+        # A vertex is admitted (removable, so in the heap or `cuts`) exactly
+        # when its degree is below `level`, the least d with d * size >=
+        # edges. The others wait in buckets by degree, joining one at each
+        # degree they reach; as the level passes a bucket, an entry whose
+        # degree still equals it is admitted, and a stale or peeled one not.
         level = -(-edges // size)
-        removable = []
+        heap = []
         buckets: dict[int, list[int]] = {}
         for v, d in deg.items():
             if d < level:
-                removable.append(v)
+                heap.append(v)
             else:
                 buckets.setdefault(d, []).append(v)
-        removable.sort()
-        admitted = set(removable)
-        # Removable vertices found to be cut vertices, kept out of the list.
+        heapify(heap)
+        # Admitted vertices found to be cut vertices, kept out of the heap.
         cuts: set[int] = set()
         while size > k:
-            pick = _first_non_cut(g, view, removable)
-            if pick is None:
+            while heap:
+                pick = heappop(heap)
+                if not _is_cut_vertex(g, view, pick):
+                    break
+                cuts.add(pick)
+            else:
                 break
-            at = bisect_left(removable, pick)
-            if at:
-                cuts.update(removable[:at])
-            del removable[: at + 1]
             view.remove(pick)
             size -= 1
             lost = deg.pop(pick)
             edges -= lost
-            if lost == 1 and cuts:
-                # pick was a leaf, perhaps the only other side of the vertex
-                # it hangs on
-                [u] = (u for u in g.neighbors(pick) if u in view)
-                if u in cuts:
-                    cuts.remove(u)
-                    insort(removable, u)
             for u in g.neighbors(pick):
                 if u in view:
                     d = deg[u] = deg[u] - 1
-                    if u in admitted:
-                        continue
-                    if d < level:
-                        admitted.add(u)
-                        insort(removable, u)
-                    else:
+                    if lost == 1 and u in cuts:
+                        # pick was a leaf, perhaps the only other side of u
+                        cuts.remove(u)
+                        heappush(heap, u)
+                    elif d == level - 1:
+                        heappush(heap, u)
+                    elif d >= level:
                         buckets.setdefault(d, []).append(u)
             while level * size < edges:
                 for u in buckets.pop(level, ()):
-                    if u not in admitted:
-                        admitted.add(u)
-                        insort(removable, u)
+                    if deg.get(u) == level:
+                        heappush(heap, u)
                 level += 1
             if emit is not None:
                 emit("peel", density=Fraction(2 * edges, size))
         if size == k:
             return _make_solution(g, view, ALG1, k)
-        removable = sorted(cuts.union(removable))
-        if not removable:
+        # Stalled: the heap ran empty, so `cuts` holds every removable vertex.
+        if not cuts:
             return _make_solution(g, prc1(g, k, within=view), ALG1, k)
-        descend = None
-        for r in removable:
-            comp, _ = densest_component_after(g, r, within=view)
+        for r in sorted(cuts):
+            comp = densest_component_after(g, r, within=view)
             if len(comp) >= k:
-                descend = comp
                 break
-        if descend is None:
+        else:
             return _make_solution(g, prc2(g, k, within=view), ALG1, k)
-        view = set(descend)
+        view = set(comp)
         deg = _view_degrees(g, view)
         if deg is None:
             raise RuntimeError("alg1: a dense side must be connected")

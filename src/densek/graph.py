@@ -268,8 +268,8 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
 
 def densest_component_after(
     g: Graph, v: int, within: Iterable[int] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Densest component of g - v, plus the same set with v re-attached.
+) -> tuple[int, ...]:
+    """Densest component of g - v: the dense side behind the cut vertex v.
 
     v must be a cut vertex of the (connected) graph; density ties go to the
     component containing the smallest vertex id.
@@ -282,7 +282,7 @@ def densest_component_after(
     if len(comps) < 2:
         raise ValueError(f"vertex {v} is not a cut vertex")
     best = max(comps, key=lambda c: density(g, c))
-    return best, tuple(sorted(best + (v,)))
+    return best
 
 
 def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:

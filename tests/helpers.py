@@ -453,7 +453,7 @@ def alg1_reference(g, k, density_log=None):
             return solution(prc1(g, k, within=view))
         descend = None
         for r in removable:
-            comp, _ = densest_component_after(g, r, within=view)
+            comp = densest_component_after(g, r, within=view)
             if len(comp) >= k:
                 descend = comp
                 break
@@ -462,6 +462,25 @@ def alg1_reference(g, k, density_log=None):
         view = set(descend)
         deg = degrees_in(view)
         edges = induced_weight(g, view)
+
+
+def contraction_reference(g, view, removable):
+    """prc2's contraction as it was, with a pending set and its min() per
+    step: (surviving, block sizes) for the removable vertices of the view,
+    the shape of the prc2 event's surviving and block_sizes."""
+    side = {r: set(densest_component_after(g, r, within=view)) for r in removable}
+    surviving = set(view)
+    pending = set(removable)
+    while pending:
+        r = min(pending)
+        surviving -= side[r]
+        pending -= side[r]
+        pending.discard(r)
+    removable_set = set(removable)
+    theta = {
+        v: (len(side[v]) + 1 if v in removable_set else 1) for v in surviving
+    }
+    return tuple(sorted(surviving)), theta
 
 
 def components_reference(g, s):

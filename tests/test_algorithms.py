@@ -41,6 +41,7 @@ from helpers import (
     clique_chain,
     complete,
     connected_corpus,
+    contraction_reference,
     cycle,
     expand_log,
     fields_of,
@@ -320,6 +321,44 @@ class TestPrc2:
         # its guard 4, keeping the cut vertex 0 and dropping 1, 2 and 3
         assert states[7]["seed"] == (0, 4)
 
+    def test_contraction_of_a_clique_chain(self):
+        # the removable vertex 27 lies in the dense side of the survivor 20,
+        # and its own dense side holds 19 and 20: contracting it too would
+        # leave blocks that miss the view
+        g = clique_chain([2, 6, 2, 6, 3] * 3)
+        with recording() as events:
+            sol = alg1(g, 34)
+        [state] = fields_of(events, "prc2")
+        assert state["surviving"] == (19, 20)
+        assert state["block_sizes"] == {19: 17, 20: 33}
+        assert sol.density == Fraction(73, 17)
+
+    def test_contraction_matches_pending_set_reference(self, monkeypatch):
+        # every view alg1 hands to prc2, on the clique chain at each even k
+        # that stalls there and on the pruning instances above, against the
+        # loop that took the smallest pending vertex per step
+        chain = clique_chain([2, 6, 2, 6, 3] * 3)
+        instances = [(chain, k) for k in range(34, 50, 2)] + [
+            (barbell(6, 6), 10), (barbell(6, 7), 10), (barbell(7, 6), 12),
+            (barbell(6, 5), 8), (barbell(7, 10), 12), (barbell(8, 12), 14),
+        ] + [(hairy_clique(4, 6), k) for k in (12, 16, 20, 24)] + [
+            (hairy_clique(5, 7), k) for k in (20, 24, 30)]
+        views = []
+
+        def viewed_prc2(g, k, within=None):
+            views.append(set(within))
+            return prc2(g, k, within=within)
+
+        monkeypatch.setattr(densek.algorithms, "prc2", viewed_prc2)
+        with recording() as events:
+            for g, k in instances:
+                alg1(g, k)
+        states = fields_of(events, "prc2")
+        assert len(views) == len(states) == len(instances)
+        for (g, _), view, state in zip(instances, views, states):
+            assert contraction_reference(g, view, state["removable"]) == (
+                state["surviving"], state["block_sizes"])
+
     def test_rejects_views_without_removable_vertices(self):
         with pytest.raises(ValueError, match="at least one removable"):
             prc2(cycle(8), 4)
@@ -395,6 +434,9 @@ class TestAlg1:
             (cliques_with_guard_and_tail(0, 1), 12),  # skip the cut vertex 0
             (cliques_with_guard_and_tail(1, 0), 12),  # degree-2 non-cut first
             (cliques_with_guard_and_tail(0, 1), 4),  # then descend into a K6
+            # 23 waits in bucket 3, falls to degree 2 and is admitted; its
+            # bucket entry is stale when the level passes 3
+            (gnp(30, 0.2, 166310), 2),
         ],
     )
     def test_peel_order_matches_full_dfs_reference(self, g, k):

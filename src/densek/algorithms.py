@@ -101,14 +101,6 @@ def _check_even_input(g: Graph, k: int) -> None:
         raise ValueError("input graph must be connected")
 
 
-def _removable_in(deg: dict[int, int], edges: int) -> list[int]:
-    # The removable vertices of the view that deg holds, id-sorted. v is
-    # removable iff deleting it strictly raises density:
-    # 2(m - d(v))/(s - 1) > 2m/s  <=>  d(v) * s < m.
-    size = len(deg)
-    return sorted(v for v, d in deg.items() if d * size < edges)
-
-
 def _is_cut_vertex(g: Graph, view: set[int], v: int) -> bool:
     # Whether the connected view minus v falls apart, by a local search: one
     # breadth-first search per in-view neighbour of v, with v removed, run in
@@ -155,15 +147,6 @@ def _is_cut_vertex(g: Graph, view: set[int], v: int) -> bool:
                     return False
 
 
-def _first_non_cut(g: Graph, view: set[int], candidates: Iterable[int]) -> int | None:
-    # First candidate, in the given order, that is not a cut vertex of the
-    # connected view (at least two vertices), each tested locally.
-    for v in candidates:
-        if not _is_cut_vertex(g, view, v):
-            return v
-    return None
-
-
 def _stalled_view(
     g: Graph, k: int, within: Iterable[int] | None, name: str
 ) -> tuple[set[int], list[int]]:
@@ -180,7 +163,10 @@ def _stalled_view(
     deg = _view_degrees(g, view)
     if deg is None:
         raise ValueError(f"{name} needs a connected vertex view")
-    return view, _removable_in(deg, sum(deg.values()) // 2)
+    # v is removable iff deleting it strictly raises the density:
+    # 2(m - d(v))/(s - 1) > 2m/s  <=>  d(v) * s < m.
+    edges = sum(deg.values()) // 2
+    return view, sorted(v for v, d in deg.items() if d * len(view) < edges)
 
 
 def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -252,10 +238,10 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
                 if covered >= half:
                     break
     while len(chosen) > 1:
-        v = _first_non_cut(
-            g, chosen, (u for u in sorted(chosen) if covered - theta[u] >= half)
-        )
-        if v is None:
+        for v in sorted(chosen):
+            if covered - theta[v] >= half and not _is_cut_vertex(g, chosen, v):
+                break
+        else:
             break
         chosen.remove(v)
         covered -= theta[v]
@@ -291,8 +277,10 @@ def alg1(g: Graph, k: int) -> Solution:
     not a cut vertex of the view. Within a peeling phase |E|/|V| strictly
     rises with each deletion and degrees only fall, so a removable vertex
     stays removable until it is peeled: the candidates are kept in a heap,
-    fed from degree buckets as the threshold rises and neighbours lose
-    degree, and rebuilt only when a phase starts. A step pops the smallest
+    built when a phase starts and fed as neighbours lose degree and as the
+    threshold rises. A rise past degree L scans the view once for degree L;
+    it happens only while the view has under m/L vertices, so the scans of
+    a phase read at most m * (1 + ln maxdeg) entries. A step pops the smallest
     candidate until one is not a cut vertex, each tested by a local search
     from its neighbours whose cost is bounded by its degree times the
     smaller side; a leaf needs no search. Deleting a non-cut vertex keeps
@@ -313,17 +301,10 @@ def alg1(g: Graph, k: int) -> Solution:
         size = len(view)
         # A vertex is admitted (removable, so in the heap or `cuts`) exactly
         # when its degree is below `level`, the least d with d * size >=
-        # edges. The others wait in buckets by degree, joining one at each
-        # degree they reach; as the level passes a bucket, an entry whose
-        # degree still equals it is admitted, and a stale or peeled one not.
+        # edges. It is admitted when its degree falls to level - 1, or, as
+        # the level rises past its degree, by a scan of the view's degrees.
         level = -(-edges // size)
-        heap = []
-        buckets: dict[int, list[int]] = {}
-        for v, d in deg.items():
-            if d < level:
-                heap.append(v)
-            else:
-                buckets.setdefault(d, []).append(v)
+        heap = [v for v, d in deg.items() if d < level]
         heapify(heap)
         # Admitted vertices found to be cut vertices, kept out of the heap.
         cuts: set[int] = set()
@@ -348,11 +329,9 @@ def alg1(g: Graph, k: int) -> Solution:
                         heappush(heap, u)
                     elif d == level - 1:
                         heappush(heap, u)
-                    elif d >= level:
-                        buckets.setdefault(d, []).append(u)
             while level * size < edges:
-                for u in buckets.pop(level, ()):
-                    if deg.get(u) == level:
+                for u, d in deg.items():
+                    if d == level:
                         heappush(heap, u)
                 level += 1
             if emit is not None:
@@ -437,8 +416,6 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     half = k // 2
     hubs = set(highest_degree_vertices(g, half))
     rest = [v for v in range(g.n) if v not in hubs]
-    if not rest:
-        raise ValueError("hub scan needs vertices outside the high-degree set")
     adjacent = [set(g.neighbors(v)) for v in range(g.n)]
     free = [[u for u in g.neighbors(v) if u not in hubs] for v in range(g.n)]
     everything = range(g.n)

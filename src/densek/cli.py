@@ -359,6 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and args.oracle_limit is not None and not args.oracle:
         parser.error("solve: --oracle-limit needs --oracle")
+    if args.command == "solve" and args.oracle and args.format != "json":
+        parser.error("solve: --oracle needs --format json")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -209,8 +209,9 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
 def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ...]:
     """Articulation vertices of the (connected) induced graph, sorted.
 
-    Iterative lowlink DFS over the whole view; errors if the induced graph
-    is disconnected. The solvers do not call it: alg1's peel and prc2's
+    Iterative lowlink DFS over the whole view (all of g by default), which
+    skips each neighbour outside the view; errors if the induced graph is
+    disconnected. The solvers do not call it: alg1's peel and prc2's
     pruning ask about one candidate at a time, and answer with a local
     search from the candidate's neighbours; alg1 keeps each "cut" answer
     for the rest of its peeling phase, unless it peels a leaf hanging on
@@ -220,25 +221,18 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
     members = _member_set(g, within)
     if not members:
         raise ValueError("graph is empty")
-    restrict = within is not None
     root = min(members)
     disc: dict[int, int] = {root: 0}
     low = {root: 0}
     cuts: set[int] = set()
     counter = 1
     root_children = 0
-
-    def neighbors_in(v):
-        if not restrict:
-            return g.neighbors(v)
-        return [u for u in g.neighbors(v) if u in members]
-
-    frames = [(root, -1, iter(neighbors_in(root)))]
+    frames = [(root, -1, iter(g.neighbors(root)))]
     while frames:
         v, parent, it = frames[-1]
         pushed = False
         for u in it:
-            if u == parent:
+            if u == parent or u not in members:
                 continue
             if u in disc:
                 if disc[u] < low[v]:
@@ -248,7 +242,7 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
                 counter += 1
                 if v == root:
                     root_children += 1
-                frames.append((u, v, iter(neighbors_in(u))))
+                frames.append((u, v, iter(g.neighbors(u))))
                 pushed = True
                 break
         if not pushed:

@@ -503,24 +503,6 @@ def components_reference(g, s):
     return sorted(map(tuple, groups.values()))
 
 
-def first_non_cut_reference(g, view, candidates):
-    """alg1's and prc2's candidate scan as it was, with a whole-view DFS.
-
-    The reference for the local cut test: the first candidate that is a leaf
-    of the view or is missing from cut_vertices of the whole view, which is
-    computed at most once.
-    """
-    articulation = None
-    for v in candidates:
-        if sum(1 for u in g.neighbors(v) if u in view) == 1:
-            return v
-        if articulation is None:
-            articulation = set(cut_vertices(g, within=view))
-        if v not in articulation:
-            return v
-    return None
-
-
 def alg5_hub_reference(g, k, expansion_log=None):
     """alg5_hub's scan as it was, with whole-graph work per candidate hub.
 

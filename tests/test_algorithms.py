@@ -29,7 +29,7 @@ from densek import (
     run_named_algorithm,
     weighted_greedy,
 )
-from densek.algorithms import _attach_best_vertex, _first_non_cut, _is_cut_vertex
+from densek.algorithms import _attach_best_vertex, _is_cut_vertex
 from densek.graph import components, cut_vertices
 from helpers import (
     alg1_reference,
@@ -45,7 +45,6 @@ from helpers import (
     cycle,
     expand_log,
     fields_of,
-    first_non_cut_reference,
     hairy_clique,
     highest_degree_vertices_reference,
     is_removable,
@@ -206,13 +205,6 @@ class TestLocalCutTest:
         assert _is_cut_vertex(g, view, 31)
         assert view.lookups < 100
 
-    def test_first_non_cut_scans_in_the_given_order(self):
-        g = three_sided_guard()
-        view = set(range(g.n))
-        assert _first_non_cut(g, view, [0, 5, 7, 3, 1]) == 3
-        assert _first_non_cut(g, view, [8, 9]) == 9  # a leaf
-        assert _first_non_cut(g, view, [0, 8]) is None
-
 
 class TestPrc1:
     def test_cycle_seed_and_attachment(self):
@@ -297,7 +289,8 @@ class TestPrc2:
     def test_pruning_matches_whole_view_reference(self, monkeypatch):
         # every contraction run reached through alg1 on the criterion-03
         # barbells, and on hairy cliques whose seeds prune cut and non-cut
-        # vertices, against the scan with a whole-view articulation DFS
+        # vertices, against a run whose cut test, in alg1's peel as in
+        # prc2's pruning, is a whole-view articulation DFS
         instances = [
             (barbell(6, 6), 10), (barbell(6, 7), 10), (barbell(7, 6), 12),
             (barbell(6, 5), 8), (barbell(7, 10), 12), (barbell(8, 12), 14),
@@ -313,7 +306,9 @@ class TestPrc2:
 
         solutions, states = runs()
         monkeypatch.setattr(
-            densek.algorithms, "_first_non_cut", first_non_cut_reference
+            densek.algorithms,
+            "_is_cut_vertex",
+            lambda g, view, v: v in cut_vertices(g, within=view),
         )
         assert runs() == (solutions, states)
         assert len(states) == len(instances)

@@ -220,6 +220,21 @@ class TestSolveErrors:
         assert captured.out == ""
         assert "--oracle-limit needs --oracle" in captured.err
 
+    def test_oracle_with_csv_exits_two(
+        self, capsys, monkeypatch, k4p_file, no_graph_built
+    ):
+        # the CSV has no column for the optimum, so the oracle never runs
+        calls = []
+        monkeypatch.setattr(densek.cli, "brute_k", lambda *args, **kw: calls.append(args))
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", str(k4p_file), "--k", "4", "--oracle",
+                  "--format", "csv"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solve: --oracle needs --format json" in captured.err
+        assert calls == []
+
 
 class TestOracleCommand:
     def test_connected_optimum(self, capsys, k4p_file):

@@ -1,10 +1,12 @@
 """Rules over the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "densek"
 TESTS = Path(__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_no_assert_statements():
@@ -69,3 +71,21 @@ def test_every_import_is_read():
         for line, name in unread_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer patches these by name; read them from its
+    # source, without importing it, so a renamed function fails here
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert len(targets) > 10
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

@@ -9,11 +9,11 @@ run in ascending id order.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .densest import densest_connected_subgraph
 from .graph import (
@@ -31,26 +31,19 @@ from .graph import (
     j_attachment,
 )
 
-ALG1 = "ALG1"
-ALG3 = "ALG3"
-ALG4 = "ALG4"
-HUB = "HUB"
-WGREEDY = "WGREEDY"
-COMBINED = "COMBINED"
-
-# The one registry of the suite, in run order: CLI name -> (solution tag,
-# accepts weighted graphs, function name). Every name list of the package
-# and the CLI derives from it. It names each function instead of holding it,
-# so run_named_algorithm looks the function up in this module at call time
-# and a function patched into the module is the one that runs.
+# The one registry of the suite, in run order: CLI name -> (accepts weighted
+# graphs, function name). Every name list of the package and the CLI derives
+# from it, and a solution's tag is its CLI name in capitals (COMBINED for the
+# best of the suite). It names each function instead of holding it, so
+# run_named_algorithm looks the function up in this module at call time and
+# a function patched into the module is the one that runs.
 ALGORITHMS = {
-    "alg1": (ALG1, False, "alg1"),
-    "alg3": (ALG3, False, "alg3"),
-    "alg4": (ALG4, False, "alg4"),
-    "hub": (HUB, False, "alg5_hub"),
-    "wgreedy": (WGREEDY, True, "weighted_greedy"),
+    "alg1": (False, "alg1"),
+    "alg3": (False, "alg3"),
+    "alg4": (False, "alg4"),
+    "hub": (False, "alg5_hub"),
+    "wgreedy": (True, "weighted_greedy"),
 }
-_TAGS = frozenset(tag for tag, _, _ in ALGORITHMS.values()) | {COMBINED}
 
 # The observation hook. When set, the solvers call trace(event, **fields);
 # each reads it once per call, and while it is None no field is built.
@@ -78,16 +71,16 @@ class Solution:
     k: int
 
 
-def _make_solution(g: Graph, vertices: Iterable[int], tag: str, k: int) -> Solution:
+def _make_solution(g: Graph, vertices: Iterable[int], name: str, k: int) -> Solution:
     # Central validity gate: every algorithm's output passes through here.
     vs = tuple(sorted(vertices))
-    if tag not in _TAGS:
-        raise ValueError(f"unknown algorithm tag {tag!r}")
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm tag {name!r}")
     if len(vs) != k or len(set(vs)) != k:
         raise ValueError(f"expected {k} distinct vertices, got {vs}")
     if not is_connected(g, vs):
         raise ValueError("solution subgraph is not connected")
-    return Solution(vertices=vs, density=density(g, vs), algorithm=tag, k=k)
+    return Solution(vertices=vs, density=density(g, vs), algorithm=name.upper(), k=k)
 
 
 def _check_even_input(g: Graph, k: int) -> None:
@@ -101,7 +94,7 @@ def _check_even_input(g: Graph, k: int) -> None:
         raise ValueError("input graph must be connected")
 
 
-def _is_cut_vertex(g: Graph, view: set[int], v: int) -> bool:
+def _is_cut_vertex(g: Graph, view: Container[int], v: int) -> bool:
     # Whether the connected view minus v falls apart, by a local search: one
     # breadth-first search per in-view neighbour of v, with v removed, run in
     # lockstep, each live group expanding one vertex per round. Searches that
@@ -262,11 +255,7 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
             seed_with_blocks=tuple(sorted(with_blocks)),
             seed_with_attachment=tuple(sorted(with_attachment)),
         )
-    pick = (
-        with_blocks
-        if induced_weight(g, with_blocks) >= induced_weight(g, with_attachment)
-        else with_attachment
-    )
+    pick = max(with_blocks, with_attachment, key=lambda s: induced_weight(g, s))
     return expand_to_k(g, pick, k, within=view)
 
 
@@ -288,17 +277,16 @@ def alg1(g: Graph, k: int) -> Solution:
     was a leaf on it. So a popped cut vertex stays out of the heap for the
     rest of the phase, and returns to it only when a leaf on it is peeled.
     When peeling stalls above k vertices, hand over to prc1 (no removable
-    vertex left) or prc2 (all dense sides small).
+    vertex left) or prc2 (all dense sides small). The view is deg's keys.
     """
     emit = trace
     _check_even_input(g, k)
-    view = set(range(g.n))
-    deg = {v: g.degree(v) for v in view}
+    deg = {v: g.degree(v) for v in range(g.n)}
     edges = g.m
     while True:
         if emit is not None:
-            emit("peel_phase", density=Fraction(2 * edges, len(view)))
-        size = len(view)
+            emit("peel_phase", density=Fraction(2 * edges, len(deg)))
+        size = len(deg)
         # A vertex is admitted (removable, so in the heap or `cuts`) exactly
         # when its degree is below `level`, the least d with d * size >=
         # edges. It is admitted when its degree falls to level - 1, or, as
@@ -311,17 +299,16 @@ def alg1(g: Graph, k: int) -> Solution:
         while size > k:
             while heap:
                 pick = heappop(heap)
-                if not _is_cut_vertex(g, view, pick):
+                if not _is_cut_vertex(g, deg, pick):
                     break
                 cuts.add(pick)
             else:
                 break
-            view.remove(pick)
             size -= 1
             lost = deg.pop(pick)
             edges -= lost
             for u in g.neighbors(pick):
-                if u in view:
+                if u in deg:
                     d = deg[u] = deg[u] - 1
                     if lost == 1 and u in cuts:
                         # pick was a leaf, perhaps the only other side of u
@@ -337,18 +324,17 @@ def alg1(g: Graph, k: int) -> Solution:
             if emit is not None:
                 emit("peel", density=Fraction(2 * edges, size))
         if size == k:
-            return _make_solution(g, view, ALG1, k)
+            return _make_solution(g, deg, "alg1", k)
         # Stalled: the heap ran empty, so `cuts` holds every removable vertex.
         if not cuts:
-            return _make_solution(g, prc1(g, k, within=view), ALG1, k)
+            return _make_solution(g, prc1(g, k, within=deg), "alg1", k)
         for r in sorted(cuts):
-            comp = densest_component_after(g, r, within=view)
+            comp = densest_component_after(g, r, within=deg)
             if len(comp) >= k:
                 break
         else:
-            return _make_solution(g, prc2(g, k, within=view), ALG1, k)
-        view = set(comp)
-        deg = _view_degrees(g, view)
+            return _make_solution(g, prc2(g, k, within=deg), "alg1", k)
+        deg = _view_degrees(g, set(comp))
         if deg is None:
             raise RuntimeError("alg1: a dense side must be connected")
         edges = sum(deg.values()) // 2
@@ -366,8 +352,8 @@ def alg3(g: Graph, k: int) -> Solution:
         out = expand_to_k(g, dense, k)
         if emit is not None:
             emit("expand", seed=dense, out=out)
-        return _make_solution(g, out, ALG3, k)
-    return _make_solution(g, prc1(g, k, within=dense), ALG3, k)
+        return _make_solution(g, out, "alg3", k)
+    return _make_solution(g, prc1(g, k, within=dense), "alg3", k)
 
 
 def highest_degree_vertices(g: Graph, count: int) -> tuple[int, ...]:
@@ -394,7 +380,7 @@ def alg4(g: Graph, k: int) -> Solution:
     out = expand_to_k(g, best, k)
     if emit is not None:
         emit("expand", seed=best, out=out)
-    return _make_solution(g, out, ALG4, k)
+    return _make_solution(g, out, "alg4", k)
 
 
 def alg5_hub(g: Graph, k: int) -> Solution:
@@ -436,7 +422,7 @@ def alg5_hub(g: Graph, k: int) -> Solution:
         weight = sum(map(len, map(out.intersection, map(adjacent.__getitem__, out))))
         if weight > best_weight:
             best, best_weight = out, weight
-    return _make_solution(g, best, HUB, k)
+    return _make_solution(g, best, "hub", k)
 
 
 def weighted_greedy(g: Graph, k: int) -> Solution:
@@ -448,15 +434,15 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
         raise ValueError(f"k={k} out of range 1..{g.n}")
     if not is_connected(g):
         raise ValueError("input graph must be connected")
-    best = None
-    best_weight = -1
-    for v in range(g.n):
+
+    def grown(v: int) -> set[int]:
+        # expand_to_k's checks hold: the star is v and at most k - 1 of its
+        # neighbours, and the graph is connected with k <= n.
         star = {v} | _top(g.neighbors(v), k - 1, lambda u: g.edge_weight(v, u))
-        out = expand_to_k(g, star, k)
-        weight = induced_weight(g, out)
-        if weight > best_weight:
-            best, best_weight = out, weight
-    return _make_solution(g, best, WGREEDY, k)
+        return _bfs(g, star, range(g.n), k)
+
+    best = max(map(grown, range(g.n)), key=lambda out: induced_weight(g, out))
+    return _make_solution(g, best, "wgreedy", k)
 
 
 def _attach_best_vertex(g: Graph, vertices: tuple[int, ...]) -> int:
@@ -479,7 +465,7 @@ def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:
         )
     if not 3 <= k <= g.n:
         raise ValueError(f"k={k} out of range 3..{g.n}")
-    tag, accepts_weighted, function = ALGORITHMS[name]
+    accepts_weighted, function = ALGORITHMS[name]
     run = globals()[function]
     if accepts_weighted:
         return run(g, k)
@@ -492,7 +478,7 @@ def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:
         return run(g, k)
     base = run(g, k - 1)
     extra = _attach_best_vertex(g, base.vertices)
-    return _make_solution(g, base.vertices + (extra,), tag, k)
+    return _make_solution(g, base.vertices + (extra,), name, k)
 
 
 def suite_names(g: Graph) -> list[str]:
@@ -501,7 +487,7 @@ def suite_names(g: Graph) -> list[str]:
     That is the greedy alone on weighted graphs, and the peeling,
     densest-core, high-degree and hub algorithms on unweighted ones.
     """
-    return [name for name, (_, weighted, _) in ALGORITHMS.items()
+    return [name for name, (weighted, _) in ALGORITHMS.items()
             if weighted == g.weighted]
 
 
@@ -521,6 +507,4 @@ def best_connected_k_subgraph(g: Graph, k: int) -> Solution:
     Ties keep the earliest algorithm in the fixed run order.
     """
     best = densest_solution(run_all_algorithms(g, k))
-    return Solution(
-        vertices=best.vertices, density=best.density, algorithm=COMBINED, k=k
-    )
+    return replace(best, algorithm="COMBINED")

@@ -36,7 +36,7 @@ from .generators import (
     planted,
     save_instance,
 )
-from .graph import EdgeListError, Graph, load_edge_list, load_header
+from .graph import EdgeListError, Graph, _integers, load_edge_list, load_header
 from .oracle import OracleLimitError, brute_k, check_brute_k
 
 EXIT_OK = 0
@@ -48,11 +48,20 @@ EXIT_ORACLE = 6
 EXIT_IO = 7
 
 
+def _decimal(value: Fraction) -> float | None:
+    # The value as a float, or None when it is too large for one; the
+    # numerator and denominator beside it hold it exactly.
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _density_json(value: Fraction) -> dict:
     return {
         "num": value.numerator,
         "den": value.denominator,
-        "decimal": float(value),
+        "decimal": _decimal(value),
     }
 
 
@@ -94,7 +103,7 @@ _SOLUTION_COLUMNS = "algorithm k n m density_num density_den density".split()
 
 def _solution_columns(sol, g: Graph) -> list:
     dens = sol.density
-    return [sol.algorithm, sol.k, g.n, g.m, dens.numerator, dens.denominator, float(dens)]
+    return [sol.algorithm, sol.k, g.n, g.m, dens.numerator, dens.denominator, _decimal(dens)]
 
 
 def _instance(path, g: Graph) -> dict:
@@ -207,7 +216,7 @@ def _parse_ks(text: str) -> list[int]:
     if not parts:
         raise ValueError(f"--k {text!r} names no k value")
     try:
-        return [int(part) for part in parts]
+        return _integers(text, parts)
     except ValueError:
         raise ValueError(f"--k {text!r} is not a comma-separated list of integers") from None
 
@@ -223,7 +232,6 @@ def cmd_bench(args) -> int:
     if not files:
         raise ValueError(f"corpus {corpus} holds no *.edges instances")
     rows = []
-    failed = 0
     for path in files:
         family = ""
         # A file that fails to load (a sidecar that is unreadable or of the
@@ -238,12 +246,11 @@ def cmd_bench(args) -> int:
                 )
             ks = [sidecar_k] if given_ks is None else given_ks
         except ValueError as exc:
-            failed += 1
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             rows.append([path.name, family] + [""] * 9 + [str(exc)])
             continue
         # Every algorithm that accepts the graph: all five on unweighted input.
-        names = [name for name, (_, weighted, _) in ALGORITHMS.items()
+        names = [name for name, (weighted, _) in ALGORITHMS.items()
                  if weighted or not g.weighted]
         for k in ks:
             for name in names:
@@ -252,15 +259,14 @@ def cmd_bench(args) -> int:
                 try:
                     sol, elapsed_ms = _timed_run(g, k, name)
                 except ValueError as exc:
-                    failed += 1
                     rows.append(
-                        [path.name, family, ALGORITHMS[name][0], k, g.n, g.m,
+                        [path.name, family, name.upper(), k, g.n, g.m,
                          "", "", "", "", "", str(exc)]
                     )
                     continue
                 ratio = ""
                 if known_opt is not None and sol.density > 0:
-                    ratio = float(known_opt / sol.density)
+                    ratio = _decimal(known_opt / sol.density)
                 rows.append([path.name, family] + _solution_columns(sol, g)
                             + [ratio, elapsed_ms, "ok"])
     Path(args.out).write_text(_csv(
@@ -269,6 +275,7 @@ def cmd_bench(args) -> int:
         rows,
     ))
     print(f"wrote {len(rows)} rows to {args.out}")
+    failed = sum(row[-1] != "ok" for row in rows)
     if failed:
         print(f"error: {failed} of {len(rows)} solves failed; see the status column",
               file=sys.stderr)

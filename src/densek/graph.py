@@ -6,13 +6,15 @@ against a host Graph, not copies: the solvers re-induce constantly and
 copying would dominate their runtime. Density comparisons are exact
 rationals (`fractions.Fraction`); no float ever drives a decision.
 
-Every growth of a vertex set in the package, and every component, comes
-from one breadth-first search, `_bfs`, in one order: its queue starts as
-the seed sorted by id, and each vertex's neighbours are taken in ascending
-id. That order fixes which vertices expand_to_k, j_attachment and the hub
-scan add, and so the outputs of every solver. The one other walk,
-`_view_degrees`, checks a view and counts its degrees; it adds no vertex to
-anything, so its order fixes no output.
+Every growth of a vertex set in the package to a vertex count, and every
+component, comes from one breadth-first search, `_bfs`, in one order: its
+queue starts as the seed sorted by id, and each vertex's neighbours are
+taken in ascending id. That order fixes which vertices expand_to_k,
+j_attachment, the hub scan and the weighted greedy add, and so the outputs
+of every solver. prc2 grows its seed until the seed's blocks cover k/2
+vertices, a weight `_bfs` does not count, by its own search in the same
+order. The one other walk, `_view_degrees`, checks a view and counts its
+degrees; it adds no vertex to anything, so its order fixes no output.
 """
 
 from __future__ import annotations
@@ -389,13 +391,23 @@ def j_attachment(
     return tuple(sorted(picked))
 
 
+def _integers(text: str, tokens: list[str]) -> list[int]:
+    # The tokens of text as integers of the file format, ASCII digits with
+    # an optional sign; ValueError otherwise. int() alone also reads "1_0"
+    # as 10 and other scripts' digits, such as "\u0661" as 1, so the whole
+    # text is checked first: two C-level scans, no Python loop.
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} holds characters outside the integer format")
+    return [int(t) for t in tokens]
+
+
 def _parse_header(line: str) -> tuple[int, int, bool]:
     """(n, m, weighted) from an edge list's first line; EdgeListError if bad."""
     head = line.split()
     if len(head) not in (2, 3) or (len(head) == 3 and head[2] != "weighted"):
         raise EdgeListError(1, "expected header 'n m' or 'n m weighted'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _integers(line, head[:2])
     except ValueError:
         raise EdgeListError(1, "vertex and edge counts must be integers") from None
     if n < 0 or m < 0:
@@ -429,11 +441,12 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
         lineno = i + 2
         if lineno > len(lines):
             raise EdgeListError(lineno, f"expected {m} edges, file ends after {i}")
-        tok = lines[lineno - 1].split()
+        line = lines[lineno - 1]
+        tok = line.split()
         if len(tok) != fields:
             raise EdgeListError(lineno, f"expected {fields} fields, got {len(tok)}")
         try:
-            vals = [int(t) for t in tok]
+            vals = _integers(line, tok)
         except ValueError:
             raise EdgeListError(lineno, "fields must be integers") from None
         edges.append((vals[0], vals[1]))

@@ -22,6 +22,7 @@ from densek import (
     format_edge_list,
     gnp,
     highest_degree_vertices,
+    induced_weight,
     is_connected,
     prc1,
     prc2,
@@ -29,7 +30,7 @@ from densek import (
     run_named_algorithm,
     weighted_greedy,
 )
-from densek.algorithms import _attach_best_vertex, _is_cut_vertex
+from densek.algorithms import _attach_best_vertex, _is_cut_vertex, _make_solution
 from densek.graph import components, cut_vertices
 from helpers import (
     alg1_reference,
@@ -285,6 +286,18 @@ class TestPrc2:
                 prc2(g, k)
             [state] = fields_of(events, "prc2")
             assert k // 2 <= len(state["seed_with_blocks"]) <= k
+
+    def test_equal_weights_keep_the_seed_with_blocks(self):
+        # both candidates induce 23 edges; the seed with its blocks wins the
+        # tie and grows to 45/8, where the attachment would give 33/8
+        g = clique_chain([7, 2, 7, 4, 6])
+        with recording() as events:
+            sol = alg1(g, 16)
+        [state] = fields_of(events, "prc2")
+        assert induced_weight(g, state["seed_with_blocks"]) == 23
+        assert induced_weight(g, state["seed_with_attachment"]) == 23
+        assert sol.vertices == tuple(range(16))
+        assert sol.density == Fraction(45, 8)
 
     def test_pruning_matches_whole_view_reference(self, monkeypatch):
         # every contraction run reached through alg1 on the criterion-03
@@ -922,6 +935,19 @@ class TestSolutionRecords:
         sol = alg1(k4p(), 4)
         with pytest.raises(AttributeError):
             sol.k = 5
+
+    def test_validity_gate(self):
+        # every solver's output passes here: a CLI name, tagged in capitals
+        g = k4p()
+        assert _make_solution(g, [3, 0, 1], "hub", 3).algorithm == "HUB"
+        for name in ("ALG1", "combined"):
+            with pytest.raises(ValueError, match=f"unknown algorithm tag '{name}'"):
+                _make_solution(g, [0, 1, 2], name, 3)
+        for vertices in ([0, 1], [0, 1, 1]):
+            with pytest.raises(ValueError, match="expected 3 distinct vertices"):
+                _make_solution(g, vertices, "alg1", 3)
+        with pytest.raises(ValueError, match="not connected"):
+            _make_solution(g, [0, 1, 4], "alg1", 3)
 
 
 class TestSuiteProperties:

@@ -16,6 +16,10 @@ K4P_TEXT = "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a valid header and first edge, then a byte that is not UTF-8 on line 3
 NOT_UTF8 = b"3 2\n0 1\n1 \xff2\n"
+# a weighted path whose densities, and ratios against them, are too large
+# for a float
+HUGE = 10**400
+HUGE_TEXT = f"3 2 weighted\n0 1 {HUGE}\n1 2 1\n"
 
 
 @pytest.fixture
@@ -207,6 +211,21 @@ class TestSolveErrors:
         ) == 5
         assert "weighted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 2\n0 1\n1 2\n", 1),
+        ("\u0663 2\n0 1\n1 2\n", 1),
+        ("3 2\n0 0_1\n1 2\n", 2),
+        ("3 2\n0 \u0661\n1 2\n", 2),
+    ], ids=["underscore-in-header", "arabic-indic-n", "underscore-in-edge",
+            "arabic-indic-id"])
+    def test_integers_outside_the_format(self, capsys, tmp_path, text, line):
+        # int() alone reads "1_0" as 10, "0_1" as 1 and the Arabic-Indic
+        # digits as 3 and 1: each file would solve
+        bad = tmp_path / "bad.edges"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
+        assert f"line {line}: " in capsys.readouterr().err
+
     def test_usage_error_exits_two(self, k4p_file):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--input", str(k4p_file), "--k", "4", "--algo", "bogus"])
@@ -316,6 +335,52 @@ class TestOracleCommand:
         }
 
 
+class TestValuesTooLargeForAFloat:
+    """A density or ratio beyond float range has no decimal, but keeps its
+    exact numerator and denominator and the exit code 0."""
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        target = tmp_path / "huge.edges"
+        target.write_text(HUGE_TEXT)
+        return target
+
+    def test_solve_json(self, capsys, huge_file):
+        code, report = run_json(capsys, ["solve", "--input", str(huge_file), "--k", "3"])
+        assert code == 0
+        assert report["best"]["density"] == {
+            "num": 2 * (HUGE + 1), "den": 3, "decimal": None}
+
+    def test_solve_csv(self, capsys, huge_file):
+        assert main(["solve", "--input", str(huge_file), "--k", "3",
+                     "--format", "csv"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert dict(zip(header, row)) == {
+            "algorithm": "WGREEDY", "k": "3", "n": "3", "m": "2",
+            "density_num": str(2 * (HUGE + 1)), "density_den": "3", "density": "",
+            "elapsed_ms": row[7], "vertices": "0 1 2"}
+
+    def test_oracle(self, capsys, huge_file):
+        code, report = run_json(capsys, ["oracle", "--input", str(huge_file), "--k", "2"])
+        assert code == 0
+        assert report["density"] == {"num": HUGE, "den": 1, "decimal": None}
+
+    def test_bench(self, capsys, tmp_path, huge_file):
+        # the sidecar's optimum over the density is too large as well
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        huge_file.rename(corpus / "huge.edges")
+        (corpus / "huge.json").write_text(json.dumps(
+            {"family": "", "k": 3, "known_opt_num": HUGE**2, "known_opt_den": 1}))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 0
+        header, row = csv.reader(out.read_text().splitlines())
+        fields = dict(zip(header, row))
+        assert fields["density_num"] == str(2 * (HUGE + 1))
+        assert fields["density"] == fields["ratio_vs_known"] == ""
+        assert fields["status"] == "ok"
+
+
 class TestGen:
     def test_clique_path_family_header(self, capsys, tmp_path):
         out = tmp_path / "a.edges"
@@ -364,6 +429,20 @@ class TestGen:
     def test_bad_scale(self, tmp_path):
         out = tmp_path / "a.edges"
         assert main(["gen", "example1a", "--ell", "1", "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("argv, error", [
+        (["gnp", "--n", "0", "--p", "0.5"], "n must be positive"),
+        (["gnp", "--n", "10", "--p", "1.5"], "p must lie in [0, 1]"),
+        (["planted", "--n", "10", "--k", "11", "--p-in", "0.5", "--p-out", "0.1"],
+         "need 1 <= k <= n"),
+        (["planted", "--n", "10", "--k", "4", "--p-in", "0.5", "--p-out", "-0.1"],
+         "probabilities must lie in [0, 1]"),
+    ], ids=["gnp-n", "gnp-p", "planted-k", "planted-p"])
+    def test_bad_generator_values(self, capsys, tmp_path, argv, error):
+        out = tmp_path / "a.edges"
+        assert main(["gen"] + argv + ["--out", str(out)]) == 4
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:
@@ -540,6 +619,20 @@ class TestBench:
         assert body[0][1:-1] == [""] * 10
         assert "Expecting property name" in body[0][-1]
         assert [row[-1] for row in body[1:]] == ["ok"] * 5
+
+    @pytest.mark.parametrize("ks", ["4,0_6", "\u0664"])
+    def test_k_list_outside_the_integer_format(self, capsys, tmp_path, no_graph_built, ks):
+        # int() alone reads "0_6" as 6 and the Arabic-Indic digit as 4; the
+        # run fails before any file is read and writes no CSV
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", ks,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"--k {ks!r} is not a comma-separated list of integers" in err
+        assert not out.exists()
 
     def test_missing_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path / "nope"),

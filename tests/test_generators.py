@@ -155,6 +155,15 @@ class TestGnp:
         with pytest.raises(ValueError, match="no edges"):
             gnp(5, 0.0, seed=1)
 
+    @pytest.mark.parametrize("n, p, error", [
+        (0, 0.5, "n must be positive"),
+        (5, -0.1, r"p must lie in \[0, 1\]"),
+        (5, 1.5, r"p must lie in \[0, 1\]"),
+    ])
+    def test_rejects_bad_parameters(self, n, p, error):
+        with pytest.raises(ValueError, match=error):
+            gnp(n, p, seed=1)
+
 
 class TestPlanted:
     def test_block_is_the_first_k_vertices(self):
@@ -169,6 +178,16 @@ class TestPlanted:
         a = planted(14, 5, 0.9, 0.1, seed=3)
         b = planted(14, 5, 0.9, 0.1, seed=3)
         assert a.graph == b.graph
+
+    @pytest.mark.parametrize("n, k, p_in, p_out, error", [
+        (10, 0, 0.5, 0.1, "need 1 <= k <= n"),
+        (10, 11, 0.5, 0.1, "need 1 <= k <= n"),
+        (10, 4, 1.5, 0.1, "probabilities must lie"),
+        (10, 4, 0.5, -0.1, "probabilities must lie"),
+    ])
+    def test_rejects_bad_parameters(self, n, k, p_in, p_out, error):
+        with pytest.raises(ValueError, match=error):
+            planted(n, k, p_in, p_out, seed=1)
 
     def test_known_density_is_a_reachable_lower_bound(self):
         instance = planted(12, 4, 1.0, 0.2, seed=9)

@@ -83,6 +83,10 @@ class TestGraphBasics:
         assert path(3) != path(4)
         assert Graph(2, [(0, 1)], [3]) != Graph(2, [(0, 1)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(3, [(1, 1)])
@@ -251,6 +255,10 @@ class TestCutVertices:
         with pytest.raises(ValueError):
             cut_vertices(Graph(3, [(0, 1)]))
 
+    def test_empty_view_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            cut_vertices(path(3), within=[])
+
     @given(connected_graphs(min_n=2, max_n=9))
     def test_matches_disconnection(self, g):
         cuts = set(cut_vertices(g))
@@ -273,6 +281,10 @@ class TestDensestComponentAfter:
     def test_non_cut_errors(self):
         with pytest.raises(ValueError):
             densest_component_after(k4p(), 0)
+
+    def test_vertex_outside_the_view_errors(self):
+        with pytest.raises(ValueError, match="vertex 3 not in the graph"):
+            densest_component_after(k4p(), 3, within=[0, 1, 2])
 
     @given(connected_graphs(max_n=14, max_extra=6))
     def test_pick_matches_the_scan_it_replaced(self, g):
@@ -302,6 +314,14 @@ class TestJAttachment:
             j_attachment(path(4), [0], 4)
         with pytest.raises(ValueError):
             j_attachment(path(4), [0], 0)
+
+    def test_empty_base_errors(self):
+        with pytest.raises(ValueError, match="nonempty base"):
+            j_attachment(path(4), [], 1)
+
+    def test_base_outside_the_view_errors(self):
+        with pytest.raises(ValueError, match="leaves the graph"):
+            j_attachment(path(4), [0, 3], 1, within=[0, 1, 2])
 
     @given(graphs_with_subset(max_n=9))
     def test_boundary_bound(self, triple):
@@ -349,6 +369,11 @@ class TestExpandToK:
             expand_to_k(path(4), [0], 5)
         with pytest.raises(ValueError, match="empty"):
             expand_to_k(path(4), [], 2)
+
+    def test_seed_component_smaller_than_k_errors(self):
+        # the view holds 4 vertices, but the seed's component in it only 2
+        with pytest.raises(ValueError, match="cannot grow"):
+            expand_to_k(path(5), [0], 3, within=[0, 1, 3, 4])
 
     @pytest.mark.parametrize("seed", [[-1], [4], [0, 4]])
     def test_seed_outside_the_graph(self, seed):
@@ -444,6 +469,24 @@ class TestEdgeListFormat:
         target.write_bytes(b"3 \xff1\n0 1\n")
         with pytest.raises(EdgeListError, match="line 1: not UTF-8 text"):
             load_header(target)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 2\n0 1\n1 2\n", 1),
+        ("\u0663 2\n0 1\n1 2\n", 1),
+        ("3\u00a02\n0 1\n1 2\n", 1),
+        ("3 2\n0 0_1\n1 2\n", 2),
+        ("3 2\n0 \u0661\n1 2\n", 2),
+        ("3 2 weighted\n0 1 1_0\n1 2 1\n", 2),
+    ], ids=["underscore-n", "arabic-indic-n", "nbsp-in-header",
+            "underscore-id", "arabic-indic-id", "underscore-weight"])
+    def test_integers_are_ascii_digits(self, text, line):
+        # int() alone takes each of these; the format does not
+        with pytest.raises(EdgeListError, match="integers") as err:
+            parse_edge_list(text)
+        assert err.value.line == line
+
+    def test_integers_may_carry_a_sign(self):
+        assert parse_edge_list("+3 2\n0 +1\n1 2\n") == path(3)
 
     def test_trailing_blank_lines_ok(self):
         assert parse_edge_list("2 1\n0 1\n\n  \n") == path(2)

@@ -56,6 +56,10 @@ class TestBruteK:
 
 
 class TestBruteDensest:
+    def test_empty_graph_errors(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            brute_densest(Graph(0, []))
+
     def test_clique_with_pendant(self):
         result = brute_densest(k4p())
         assert result.best_set == (0, 1, 2, 3)

@@ -4,9 +4,13 @@ import ast
 import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "densek"
+from densek.algorithms import ALGORITHMS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "densek"
 TESTS = Path(__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def test_no_assert_statements():
@@ -89,3 +93,17 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_readme_algorithm_table_matches_the_registry():
+    # the README and the code must agree: the table under "Approximation
+    # algorithms" lists function | CLI name | tag, in registry order, and a
+    # tag is its CLI name in capitals
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Approximation algorithms\n", 1)[1].split("\n#", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert rows == [(fn, name, name.upper()) for name, (_, fn) in ALGORITHMS.items()]

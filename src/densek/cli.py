@@ -284,6 +284,11 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def integer(text: str) -> int:
+        # An integer option in the file format's one syntax; argparse names
+        # this function in its refusal, "invalid integer value", exit 2.
+        return _integers(text, [text])[0]
+
     parser = argparse.ArgumentParser(
         prog="densek",
         description="Find connected k-vertex subgraphs of high density.",
@@ -292,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the approximation suite")
     solve.add_argument("--input", required=True, help="edge-list instance file")
-    solve.add_argument("--k", type=int, required=True, help="subgraph size, 3..n")
+    solve.add_argument("--k", type=integer, required=True, help="subgraph size, 3..n")
     solve.add_argument(
         "--algo",
         choices=("auto",) + tuple(ALGORITHMS),
@@ -306,20 +311,20 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compute the exact optimum and the achieved ratio",
     )
-    solve.add_argument("--oracle-limit", type=int, default=None)
+    solve.add_argument("--oracle-limit", type=integer, default=None)
     solve.add_argument("--out", default=None, help="write report here, not stdout")
     solve.set_defaults(func=cmd_solve)
 
     oracle = sub.add_parser("oracle", help="exact optimum by enumeration")
     oracle.add_argument("--input", required=True)
-    oracle.add_argument("--k", type=int, required=True)
+    oracle.add_argument("--k", type=integer, required=True)
     oracle.add_argument(
         "--connected",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="require the optimum to be connected (default yes)",
     )
-    oracle.add_argument("--oracle-limit", type=int, default=None)
+    oracle.add_argument("--oracle-limit", type=integer, default=None)
     oracle.add_argument("--out", default=None)
     oracle.set_defaults(func=cmd_oracle)
 
@@ -327,13 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "family", choices=("example1a", "example1b", "gnp", "planted")
     )
-    gen.add_argument("--ell", type=int, default=None, help="family scale, >= 2")
-    gen.add_argument("--n", type=int, default=None)
+    gen.add_argument("--ell", type=integer, default=None, help="family scale, >= 2")
+    gen.add_argument("--n", type=integer, default=None)
     gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--k", type=int, default=None)
+    gen.add_argument("--k", type=integer, default=None)
     gen.add_argument("--p-in", type=float, default=None, dest="p_in")
     gen.add_argument("--p-out", type=float, default=None, dest="p_out")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=integer, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

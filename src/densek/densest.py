@@ -97,7 +97,9 @@ def has_subgraph_denser_than(
     """A vertex set of density strictly above threshold, or None.
 
     Searches g[within] (default: all of g). Goldberg's network for threshold
-    num/den without M: each positive edge uv carries den*w both ways, and
+    num/den without M, on the graph's own ids: nodes 0..n-1 are the
+    vertices, n is the source and n+1 the sink, and only the view's members
+    get arcs. Each positive edge uv of the view carries den*w both ways, and
     vertex v, of induced weighted degree wdeg(v), gets a source arc of
     capacity den*wdeg(v) - num when that is positive, else a sink arc of
     num - den*wdeg(v). A cut with source side S costs (sum of source arcs)
@@ -114,23 +116,20 @@ def has_subgraph_denser_than(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     num, den = threshold.numerator, threshold.denominator
-    verts = range(g.n) if within is None else sorted(_member_set(g, within))
-    local = {v: i for i, v in enumerate(verts)}
-    size = len(verts)
-    source, sink = size, size + 1
-    head: list[list[int]] = [[] for _ in range(size + 2)]
+    members = _member_set(g, within)
+    source, sink = g.n, g.n + 1
+    head: list[list[int]] = [[] for _ in range(g.n + 2)]
     to: list[int] = []
     cap: list[int] = []
-    wdeg = [0] * size
+    wdeg = [0] * g.n
     for (u, v), w in zip(g.edges, g.weights or repeat(1)):
-        if w and u in local and v in local:
-            i, j = local[u], local[v]
-            head[i].append(len(to))
-            head[j].append(len(to) + 1)
-            to += (j, i)
+        if w and u in members and v in members:
+            head[u].append(len(to))
+            head[v].append(len(to) + 1)
+            to += (v, u)
             cap += (den * w, den * w)
-            wdeg[i] += w
-            wdeg[j] += w
+            wdeg[u] += w
+            wdeg[v] += w
     # Each vertex's direct source-v-sink path is saturated up front, leaving
     # its excess as a source arc (positive) or a sink arc (negative); so is
     # each source-u-v-sink path through one edge from an excess to a deficit.
@@ -146,7 +145,8 @@ def has_subgraph_denser_than(
         cap[e ^ 1] += f
         excess[i] -= f
         excess[j] += f
-    for i, x in enumerate(excess):
+    for i in members:
+        x = excess[i]
         if x > 0:
             head[source].append(len(to))
             head[i].append(len(to) + 1)
@@ -159,7 +159,7 @@ def has_subgraph_denser_than(
             cap += (-x, 0)
     level = _residual_source_side(head, to, cap, source, sink)
     # The side holds a vertex iff the max flow is below the source arcs' sum.
-    side = tuple(v for v, lv in zip(verts, level) if lv >= 0)
+    side = tuple(v for v in range(g.n) if level[v] >= 0)
     return side or None
 
 

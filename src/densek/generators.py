@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .graph import Graph, components, density, save_edge_list
+from .graph import Graph, _integers, components, density, save_edge_list
 
 _MASK = (1 << 64) - 1
 
@@ -251,13 +251,15 @@ def _is_int(value) -> bool:
 def load_sidecar(path) -> tuple[str, int | None, Fraction | None] | None:
     """(family, k, known optimum) from the sidecar that save_instance wrote
     next to path; None when there is none. The one reader of the format:
-    ValueError naming the sidecar when it is not JSON or of another shape.
+    ValueError naming the sidecar when it is not JSON, holds an integer
+    outside the file format's, or is of another shape.
     """
     side = sidecar_path(path)
     if not side.exists():
         return None
     try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
+        meta = json.loads(side.read_text(encoding="utf-8"),
+                          parse_int=lambda t: _integers(t, [t])[0])
     except ValueError as exc:
         raise ValueError(f"{exc} (sidecar {side.name})") from None
     if isinstance(meta, dict):

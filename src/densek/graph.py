@@ -3,8 +3,11 @@
 Vertex sets travel as sorted tuples so identical inputs give identical
 outputs everywhere. Induced subgraphs are vertex masks (``within=``)
 against a host Graph, not copies: the solvers re-induce constantly and
-copying would dominate their runtime. Density comparisons are exact
-rationals (`fractions.Fraction`); no float ever drives a decision.
+copying would dominate their runtime. A view is a set of graph ids, read
+and checked in one place, `_member_set`; the whole graph, ``within=None``,
+is ``range(g.n)``, which every function takes as it takes a set. Density
+comparisons are exact rationals (`fractions.Fraction`); no float ever
+drives a decision.
 
 Every growth of a vertex set in the package to a vertex count, and every
 component, comes from one breadth-first search, `_bfs`, in one order: its
@@ -149,9 +152,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
-def _member_set(g: Graph, within) -> set[int]:
+def _member_set(g: Graph, within) -> set[int] | range:
     if within is None:
-        return set(range(g.n))
+        return range(g.n)
     members = set(within)
     for v in members:
         if not (0 <= v < g.n):
@@ -198,14 +201,13 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
     The answer for the whole graph is kept on the immutable Graph, so every
     solver can check its input without a search per check.
     """
-    if s is None:
-        if g._connected is None:
-            g._connected = g.n > 0 and len(_bfs(g, {0}, range(g.n))) == g.n
+    if s is None and g._connected is not None:
         return g._connected
     members = _member_set(g, s)
-    if not members:
-        return False
-    return len(_bfs(g, {min(members)}, members)) == len(members)
+    connected = bool(members) and len(_bfs(g, {min(members)}, members)) == len(members)
+    if s is None:
+        g._connected = connected
+    return connected
 
 
 def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -270,10 +272,10 @@ def densest_component_after(
     v must be a cut vertex of the (connected) graph; density ties go to the
     component containing the smallest vertex id.
     """
-    members = _member_set(g, within)
-    if v not in members:
+    rest = set(_member_set(g, within))
+    if v not in rest:
         raise ValueError(f"vertex {v} not in the graph")
-    rest = members - {v}
+    rest.remove(v)
     comps = components(g, rest)
     if len(comps) < 2:
         raise ValueError(f"vertex {v} is not a cut vertex")
@@ -313,13 +315,7 @@ def _bfs(g: Graph, seed: set[int], members, limit: int | None = None) -> set[int
     return chosen
 
 
-def _counts_into(g: Graph, s: Iterable[int], among) -> Counter:
-    # For each vertex of among, its number of neighbours in s, counted from
-    # s's side; vertices with none are left out.
-    return Counter(u for v in s for u in g.neighbors(v) if u in among)
-
-
-def _view_degrees(g: Graph, view: set[int]) -> dict[int, int] | None:
+def _view_degrees(g: Graph, view: set[int] | range) -> dict[int, int] | None:
     # Each vertex of the nonempty view with its number of neighbours in the
     # view, or None when g[view] is disconnected. One walk from min(view),
     # a level at a time: the neighbour lists of a level are kept, and its
@@ -330,7 +326,8 @@ def _view_degrees(g: Graph, view: set[int]) -> dict[int, int] | None:
     # level, is the slow case.
     adj = g._adj
     start = min(view)
-    unseen = view - {start}
+    unseen = set(view)
+    unseen.remove(start)
     level = [start]
     listed: list[int] = []
     while level:
@@ -348,8 +345,7 @@ def expand_to_k(
     g: Graph, s: Iterable[int], k: int, within: Iterable[int] | None = None
 ) -> tuple[int, ...]:
     """Grow connected g[s] to exactly k vertices by BFS, ids ascending."""
-    # The whole graph is tested as a range: no per-call set of all n ids.
-    members = range(g.n) if within is None else _member_set(g, within)
+    members = _member_set(g, within)
     sset = set(s)
     if not sset:
         raise ValueError("cannot expand an empty set")
@@ -375,8 +371,7 @@ def j_attachment(
     if g[s] is connected, so is the union. The result satisfies
     |members| * [s, picked] >= j * [s, everything outside s].
     """
-    # The whole graph is tested as a range, as in expand_to_k.
-    members = range(g.n) if within is None else _member_set(g, within)
+    members = _member_set(g, within)
     sset = set(s)
     if not sset:
         raise ValueError("attachment needs a nonempty base set")
@@ -384,20 +379,35 @@ def j_attachment(
         raise ValueError("base set leaves the graph")
     if not 1 <= j <= len(members) - len(sset):
         raise ValueError(f"j={j} out of range 1..{len(members) - len(sset)}")
-    counts = _counts_into(g, sset, members)
+    # Each vertex of the view with its neighbours in s, counted from s's side.
+    counts = Counter(u for v in sset for u in g.neighbors(v) if u in members)
     picked = _top(counts.keys() - sset, j, counts.__getitem__)
     if len(picked) < j:
         picked = _bfs(g, sset | picked, members, len(sset) + j) - sset
     return tuple(sorted(picked))
 
 
+# The most digits an integer in a file, a sidecar or an option may have.
+# Python refuses to read or write an int of over 4300 digits from 3.11 on,
+# and 3.10 has no limit; below it, with room for the sums the CLI writes (a
+# density's numerator is at most twice a sum of m weights), every version
+# reads and writes the same integers.
+_MAX_DIGITS = 4000
+
+
 def _integers(text: str, tokens: list[str]) -> list[int]:
     # The tokens of text as integers of the file format, ASCII digits with
-    # an optional sign; ValueError otherwise. int() alone also reads "1_0"
-    # as 10 and other scripts' digits, such as "\u0661" as 1, so the whole
-    # text is checked first: two C-level scans, no Python loop.
+    # an optional sign and at most _MAX_DIGITS digits; ValueError otherwise.
+    # int() alone also reads "1_0" as 10 and other scripts' digits, such as
+    # "\u0661" as 1, so the whole text is checked first: two C-level scans,
+    # no Python loop. Only a text longer than _MAX_DIGITS can hold a token
+    # that long, so an ordinary line pays one len() for the digit count.
     if not text.isascii() or "_" in text:
         raise ValueError(f"{text!r} holds characters outside the integer format")
+    if len(text) > _MAX_DIGITS and any(
+        len(t.lstrip("+-")) > _MAX_DIGITS for t in tokens
+    ):
+        raise ValueError(f"an integer has more than {_MAX_DIGITS} digits")
     return [int(t) for t in tokens]
 
 

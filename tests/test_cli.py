@@ -20,6 +20,8 @@ NOT_UTF8 = b"3 2\n0 1\n1 \xff2\n"
 # for a float
 HUGE = 10**400
 HUGE_TEXT = f"3 2 weighted\n0 1 {HUGE}\n1 2 1\n"
+# integers may have at most this many digits, on every Python version
+MAX_DIGITS = 4000
 
 
 @pytest.fixture
@@ -226,6 +228,24 @@ class TestSolveErrors:
         assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
         assert f"line {line}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 4300])
+    def test_integers_with_too_many_digits(self, capsys, tmp_path, digits):
+        # Python 3.11 reads both; it then cannot write the 4300-digit
+        # triangle's density (exit 4), and Python 3.10 solves both
+        weight = "9" * digits
+        bad = tmp_path / "bad.edges"
+        bad.write_text(f"3 3 weighted\n0 1 {weight}\n1 2 {weight}\n0 2 {weight}\n")
+        assert main(["solve", "--input", str(bad), "--k", "3"]) == 3
+        assert "line 2: fields must be integers" in capsys.readouterr().err
+
+    def test_integers_of_the_most_digits_solve(self, capsys, tmp_path):
+        weight = 10**MAX_DIGITS - 1
+        target = tmp_path / "w.edges"
+        target.write_text(f"3 3 weighted\n0 1 {weight}\n1 2 {weight}\n0 2 {weight}\n")
+        code, report = run_json(capsys, ["solve", "--input", str(target), "--k", "3"])
+        assert code == 0
+        assert report["best"]["density"] == {"num": 2 * weight, "den": 1, "decimal": None}
+
     def test_usage_error_exits_two(self, k4p_file):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--input", str(k4p_file), "--k", "4", "--algo", "bogus"])
@@ -253,6 +273,39 @@ class TestSolveErrors:
         assert captured.out == ""
         assert "solve: --oracle needs --format json" in captured.err
         assert calls == []
+
+
+class TestIntegerOptions:
+    """Every integer option takes the file format's one integer syntax."""
+
+    @pytest.mark.parametrize("command, option, bad", [
+        (["solve", "--input", "{f}", "--k", "{v}"], "--k", "0_3"),
+        (["solve", "--input", "{f}", "--k", "3", "--oracle", "--oracle-limit", "{v}"],
+         "--oracle-limit", "2_0"),
+        (["oracle", "--input", "{f}", "--k", "{v}"], "--k", "\u0663"),
+        (["oracle", "--input", "{f}", "--k", "3", "--oracle-limit", "{v}"],
+         "--oracle-limit", "2_0"),
+        (["gen", "gnp", "--n", "{v}", "--p", "0.5", "--out", "{o}"], "--n", "1_2"),
+        (["gen", "planted", "--n", "12", "--k", "{v}", "--p-in", "0.5",
+          "--p-out", "0.1", "--out", "{o}"], "--k", "\u0664"),
+        (["gen", "example1a", "--ell", "{v}", "--out", "{o}"], "--ell", "0_2"),
+        (["gen", "gnp", "--n", "12", "--p", "0.5", "--seed", "{v}", "--out", "{o}"],
+         "--seed", "1" * (MAX_DIGITS + 1)),
+    ], ids=["solve-k", "solve-oracle-limit", "oracle-k", "oracle-limit", "gen-n",
+            "gen-k", "gen-ell", "gen-seed"])
+    def test_refused_with_a_usage_error(
+        self, capsys, tmp_path, k4p_file, command, option, bad
+    ):
+        # int() alone reads each of these, so each command would run
+        out = tmp_path / "out.edges"
+        argv = [arg.format(f=k4p_file, o=out, v=bad) for arg in command]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: invalid integer value: {bad!r}" in captured.err
+        assert not out.exists()
 
 
 class TestOracleCommand:
@@ -633,6 +686,31 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"--k {ks!r} is not a comma-separated list of integers" in err
         assert not out.exists()
+
+    def test_k_list_with_too_many_digits(self, capsys, tmp_path, no_graph_built):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        ks = "4," + "1" * (MAX_DIGITS + 1)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", ks,
+                     "--out", str(out)]) == 4
+        assert "is not a comma-separated list of integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sidecar_integer_with_too_many_digits_keeps_its_row(self, capsys, tmp_path):
+        # Python 3.11 reads a 4001-digit optimum and 3.10 any optimum at all
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        (corpus / "a.json").write_text(
+            f'{{"k": 4, "known_opt_num": {"1" * (MAX_DIGITS + 1)}, "known_opt_den": 1}}')
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"a.edges: an integer has more than {MAX_DIGITS} digits (sidecar a.json)" in err
+        body = list(csv.reader(out.read_text().strip().splitlines()))[1:]
+        assert [row[0] for row in body] == ["a.edges"]
 
     def test_missing_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path / "nope"),

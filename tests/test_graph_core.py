@@ -1,14 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from densek.densest import has_subgraph_denser_than
 from densek.graph import (
     EdgeError,
     EdgeListError,
     Graph,
-    _counts_into,
     _view_degrees,
     components,
     cut_vertices,
@@ -225,7 +226,7 @@ class TestComponents:
         if len(components_reference(g, s)) > 1:
             assert deg is None
         else:
-            counts = _counts_into(g, s, set(s))
+            counts = Counter(u for v in s for u in g.neighbors(v) if u in s)
             assert deg == {v: counts[v] for v in s}
 
     def test_view_walk_on_fixed_views(self):
@@ -390,6 +391,32 @@ class TestExpandToK:
         assert len(out) == k
         assert set(s) <= set(out)
         assert is_connected(g, out)
+
+
+class TestWholeGraphView:
+    @given(graphs_with_subset(max_n=10), st.data())
+    def test_none_a_range_and_a_list_of_every_id_answer_alike(self, case, data):
+        # the whole graph takes the one path every view takes, however given
+        g, s, j = case
+        k = data.draw(st.integers(len(s), g.n))
+        cuts = cut_vertices(g)
+        thresholds = [Fraction(t, 2) for t in range(2 * g.n)]
+
+        def answers(whole):
+            return (
+                density(g, whole),
+                components(g, whole),
+                is_connected(g, whole),
+                cut_vertices(g, whole),
+                expand_to_k(g, s, k, within=whole),
+                j_attachment(g, s, j, within=whole),
+                [densest_component_after(g, v, within=whole) for v in cuts],
+                [has_subgraph_denser_than(g, t, within=whole) for t in thresholds],
+            )
+
+        expected = answers(None)
+        assert answers(range(g.n)) == expected
+        assert answers(list(range(g.n))) == expected
 
 
 class TestEdgeListFormat:

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 from densek.algorithms import ALGORITHMS
+from test_algorithms import TestTraceEvents as TraceEvents
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "densek"
@@ -107,3 +109,17 @@ def test_readme_algorithm_table_matches_the_registry():
         if line.startswith("| `")
     ]
     assert rows == [(fn, name, name.upper()) for name, (_, fn) in ALGORITHMS.items()]
+
+
+def test_readme_trace_event_table_matches_the_schema():
+    # the table under "Observing a run" lists event | emitted by | fields,
+    # and names each field in backticks, lowercase; TestTraceEvents holds
+    # the solvers' events to the same schema
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Observing a run\n", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            event, _, fields = (cell.strip() for cell in line.split("|")[1:4])
+            table[event.strip("`")] = set(re.findall(r"`([a-z_]+)`", fields))
+    assert table == {event: set(fields) for event, fields in TraceEvents.SCHEMA.items()}

@@ -7,6 +7,9 @@ Library layout:
   oracle      brute-force exact optima for small instances
   generators  adversarial and random instance families
   cli         the `densek` command line tool
+
+The top level exports the names the README lists under "Public names"; the
+building blocks stay in their submodules.
 """
 
 from .algorithms import (
@@ -14,24 +17,14 @@ from .algorithms import (
     alg1,
     alg3,
     alg4,
-    alg4_base,
     alg5_hub,
     best_connected_k_subgraph,
-    highest_degree_vertices,
-    prc1,
-    prc2,
     run_all_algorithms,
     run_named_algorithm,
     weighted_greedy,
 )
-from .densest import (
-    DensestResult,
-    densest_connected_subgraph,
-    densest_subgraph,
-    has_subgraph_denser_than,
-)
+from .densest import densest_connected_subgraph, densest_subgraph, has_subgraph_denser_than
 from .generators import (
-    GapInstance,
     Xorshift64Star,
     example1a,
     example1b,
@@ -43,62 +36,39 @@ from .generators import (
 from .graph import (
     EdgeListError,
     Graph,
-    components,
-    cut_vertices,
-    densest_component_after,
     density,
-    expand_to_k,
     format_edge_list,
-    induced_weight,
-    is_connected,
-    j_attachment,
     load_edge_list,
     parse_edge_list,
     save_edge_list,
 )
-from .oracle import OracleLimitError, OracleResult, brute_densest, brute_k
-
-__version__ = "0.1.0"
+from .oracle import OracleLimitError, brute_densest, brute_k
 
 __all__ = [
-    "DensestResult",
     "EdgeListError",
-    "GapInstance",
     "Graph",
     "OracleLimitError",
-    "OracleResult",
     "Solution",
     "Xorshift64Star",
     "alg1",
     "alg3",
     "alg4",
-    "alg4_base",
     "alg5_hub",
     "best_connected_k_subgraph",
     "brute_densest",
     "brute_k",
-    "components",
-    "cut_vertices",
-    "densest_component_after",
     "densest_connected_subgraph",
     "densest_subgraph",
     "density",
     "example1a",
     "example1b",
-    "expand_to_k",
     "format_edge_list",
     "gnp",
     "has_subgraph_denser_than",
-    "highest_degree_vertices",
-    "induced_weight",
-    "is_connected",
-    "j_attachment",
     "load_edge_list",
     "load_sidecar",
     "parse_edge_list",
     "planted",
-    "prc1",
-    "prc2",
     "run_all_algorithms",
     "run_named_algorithm",
     "save_edge_list",

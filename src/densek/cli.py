@@ -83,10 +83,14 @@ def _timed_run(g: Graph, k: int, name: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    # The one report writer. A file is UTF-8 on every locale; the bytes of a
+    # file name that is not UTF-8, which reach a report as surrogates, are
+    # written back as they were.
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -234,9 +238,9 @@ def cmd_bench(args) -> int:
     rows = []
     for path in files:
         family = ""
-        # A file that fails to load (a sidecar that is unreadable or of the
-        # wrong shape, a malformed file, n > m + 1 or no k) fails its own row
-        # only, as a failed solve does below.
+        # A file that fails to load (an instance or sidecar that is unreadable
+        # or of the wrong shape, a malformed file, n > m + 1 or no k) fails
+        # its own row only, as a failed solve does below.
         try:
             family, sidecar_k, known_opt = load_sidecar(path) or ("", None, None)
             g = load_edge_list(path, connectable=True)
@@ -245,7 +249,7 @@ def cmd_bench(args) -> int:
                     "no k for instance: pass --k or generate instances with a sidecar k"
                 )
             ks = [sidecar_k] if given_ks is None else given_ks
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             rows.append([path.name, family] + [""] * 9 + [str(exc)])
             continue
@@ -269,11 +273,8 @@ def cmd_bench(args) -> int:
                     ratio = _decimal(known_opt / sol.density)
                 rows.append([path.name, family] + _solution_columns(sol, g)
                             + [ratio, elapsed_ms, "ok"])
-    Path(args.out).write_text(_csv(
-        ["instance", "family"] + _SOLUTION_COLUMNS
-        + ["ratio_vs_known", "elapsed_ms", "status"],
-        rows,
-    ))
+    _emit(_csv(["instance", "family"] + _SOLUTION_COLUMNS
+               + ["ratio_vs_known", "elapsed_ms", "status"], rows), args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     failed = sum(row[-1] != "ok" for row in rows)
     if failed:

@@ -62,8 +62,8 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         weights: Iterable[int] | None = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a nonnegative integer")
         if weights is None:
             pairs = zip(edges, repeat(1))
         else:
@@ -73,15 +73,18 @@ class Graph:
         # dict, so its size is the position of the edge at hand.
         weight_of: dict[tuple[int, int], int] = {}
         for (u, v), w in pairs:
-            key = (u, v) if u < v else (v, u)
-            if not (0 <= u < n and 0 <= v < n):
+            # Ids and weights are plain ints: a bool or a float passes the
+            # range tests, but format_edge_list would write it as no integer.
+            if not type(u) is type(v) is int:
+                fault = f"vertex ids {u!r} {v!r} are not both plain integers"
+            elif not (0 <= u < n and 0 <= v < n):
                 bad = u if not 0 <= u < n else v
                 fault = f"vertex id {bad} out of range for n={n}"
             elif u == v:
                 fault = f"self-loop at vertex {u}"
-            elif key in weight_of:
+            elif (key := (u, v) if u < v else (v, u)) in weight_of:
                 fault = f"duplicate edge {key[0]} {key[1]}"
-            elif not isinstance(w, int) or w < 0:
+            elif type(w) is not int or w < 0:
                 fault = f"weight {w!r} is not a nonnegative integer"
             else:
                 weight_of[key] = w

@@ -14,7 +14,6 @@ import pytest
 from densek import (
     Graph,
     Xorshift64Star,
-    alg4_base,
     alg5_hub,
     alg1,
     best_connected_k_subgraph,
@@ -24,13 +23,12 @@ from densek import (
     density,
     example1a,
     example1b,
-    highest_degree_vertices,
-    is_connected,
-    j_attachment,
     run_all_algorithms,
     run_named_algorithm,
     weighted_greedy,
 )
+from densek.algorithms import alg4_base, highest_degree_vertices
+from densek.graph import is_connected, j_attachment
 from helpers import (
     assert_valid_solution,
     barbell,

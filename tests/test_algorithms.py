@@ -14,24 +14,26 @@ from densek import (
     alg1,
     alg3,
     alg4,
-    alg4_base,
     alg5_hub,
     best_connected_k_subgraph,
     brute_k,
     density,
     format_edge_list,
     gnp,
-    highest_degree_vertices,
-    induced_weight,
-    is_connected,
-    prc1,
-    prc2,
     run_all_algorithms,
     run_named_algorithm,
     weighted_greedy,
 )
-from densek.algorithms import _attach_best_vertex, _is_cut_vertex, _make_solution
-from densek.graph import components, cut_vertices
+from densek.algorithms import (
+    _attach_best_vertex,
+    _is_cut_vertex,
+    _make_solution,
+    alg4_base,
+    highest_degree_vertices,
+    prc1,
+    prc2,
+)
+from densek.graph import components, cut_vertices, induced_weight, is_connected
 from helpers import (
     alg1_reference,
     alg5_hub_reference,

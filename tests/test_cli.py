@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -672,6 +673,42 @@ class TestBench:
         assert body[0][1:-1] == [""] * 10
         assert "Expecting property name" in body[0][-1]
         assert [row[-1] for row in body[1:]] == ["ok"] * 5
+
+    def test_unreadable_instance_or_sidecar_keeps_its_row(self, capsys, tmp_path):
+        # a directory in place of a sidecar (b.json) or of an instance
+        # (c.edges) fails its own file; the run goes on and writes the CSV
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.edges", "b.edges"):
+            (corpus / name).write_text(K4P_TEXT)
+        (corpus / "b.json").mkdir()
+        (corpus / "c.edges").mkdir()
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "error: b.edges: " in err and "error: c.edges: " in err
+        assert "2 of 7 solves failed" in err
+        body = list(csv.reader(out.read_text().strip().splitlines()))[1:]
+        assert [row[0] for row in body] == ["a.edges"] * 5 + ["b.edges", "c.edges"]
+        assert [row[-1] for row in body[:5]] == ["ok"] * 5
+        assert body[5][1:-1] == body[6][1:-1] == [""] * 10
+        assert "b.json" in body[5][-1] and "c.edges" in body[6][-1]
+
+    def test_file_names_keep_their_bytes(self, capsys, tmp_path):
+        # names made from bytes are the same on every locale, ASCII too: the
+        # CSV is UTF-8, and a name that is not UTF-8 keeps its bytes
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        names = [b"bad\xff.edges", "\u00e9.edges".encode()]
+        for name in names:
+            (corpus / os.fsdecode(name)).write_text(K4P_TEXT)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        body = out.read_bytes().splitlines()[1:]
+        assert [row.split(b",")[0] for row in body] == [names[0]] * 5 + [names[1]] * 5
 
     @pytest.mark.parametrize("ks", ["4,0_6", "\u0664"])
     def test_k_list_outside_the_integer_format(self, capsys, tmp_path, no_graph_built, ks):

@@ -13,9 +13,9 @@ from densek import (
     densest_subgraph,
     density,
     has_subgraph_denser_than,
-    is_connected,
 )
 import densek.densest
+from densek.graph import is_connected
 from helpers import complete, connected_corpus, densest_union, k4p, path, star
 from helpers import densest_subgraph_reference, has_subgraph_denser_than_reference
 from helpers import induced, twice, weighted_version

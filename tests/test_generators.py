@@ -11,12 +11,12 @@ from densek import (
     example1a,
     example1b,
     gnp,
-    is_connected,
     load_edge_list,
     load_sidecar,
     planted,
     save_instance,
 )
+from densek.graph import is_connected
 
 
 class TestPrng:

@@ -88,6 +88,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="nonnegative"):
             Graph(-1, [])
 
+    def test_rejects_a_vertex_count_that_is_no_plain_int(self):
+        # Graph(True, []) would be written as the header "True 0"
+        for n in (True, 2.0):
+            with pytest.raises(ValueError, match="not a nonnegative integer"):
+                Graph(n, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(3, [(1, 1)])
@@ -107,6 +113,19 @@ class TestGraphBasics:
         ([(0, 1), (1, 2)], [4, -1], 1),
     ], ids=["duplicate", "self-loop", "out-of-range", "negative-weight"])
     def test_rejected_edge_carries_its_position(self, edges, weights, index):
+        with pytest.raises(EdgeError) as err:
+            Graph(3, edges, weights)
+        assert err.value.index == index
+
+    @pytest.mark.parametrize("edges, weights, index", [
+        ([(0, 1), (1, 2)], [True, 2], 0),
+        ([(False, True)], None, 0),
+        ([(0, 1), (1.0, 2)], None, 1),
+        ([(0, "1")], None, 0),
+    ], ids=["bool-weight", "bool-ids", "float-id", "str-id"])
+    def test_ids_and_weights_are_plain_ints(self, edges, weights, index):
+        # a bool is an int, but format_edge_list would write it as True,
+        # which parse_edge_list refuses
         with pytest.raises(EdgeError) as err:
             Graph(3, edges, weights)
         assert err.value.index == index

@@ -4,7 +4,9 @@ import ast
 import importlib
 import re
 from pathlib import Path
+from types import ModuleType
 
+import densek
 from densek.algorithms import ALGORITHMS
 from test_algorithms import TestTraceEvents as TraceEvents
 
@@ -25,6 +27,30 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_text_io_names_its_encoding():
+    # the locale's encoding varies (ASCII under LC_ALL=C), so every
+    # text-mode open(), read_text() and write_text() in the package names one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or any(
+                kw.arg == "encoding" for kw in node.keywords
+            ):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "open":
+                # open(file, mode) or Path.open(mode); binary modes need none
+                modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes):
+                    continue
+            elif name not in ("read_text", "write_text"):
+                continue
+            found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
@@ -123,3 +149,16 @@ def test_readme_trace_event_table_matches_the_schema():
             event, _, fields = (cell.strip() for cell in line.split("|")[1:4])
             table[event.strip("`")] = set(re.findall(r"`([a-z_]+)`", fields))
     assert table == {event: set(fields) for event, fields in TraceEvents.SCHEMA.items()}
+
+
+def test_top_level_exports_the_readme_public_names():
+    # the README's "Public names" list is the one record of the top level:
+    # __all__ and every public attribute of densek but its submodules match it
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Public names\n", 1)[1].split("\n#", 1)[0]
+    bullets = section.split("\n* ", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", bullets))
+    public = {name for name, value in vars(densek).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(densek.__all__) == listed == public
+    assert len(densek.__all__) == len(listed)

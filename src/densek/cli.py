@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -28,14 +29,7 @@ from .algorithms import (
     run_named_algorithm,
     suite_names,
 )
-from .generators import (
-    example1a,
-    example1b,
-    gnp,
-    load_sidecar,
-    planted,
-    save_instance,
-)
+from .generators import GapInstance, example1a, example1b, gnp, load_sidecar, planted
 from .graph import EdgeListError, Graph, _integers, load_edge_list, load_header
 from .oracle import OracleLimitError, brute_k, check_brute_k
 
@@ -83,31 +77,36 @@ def _timed_run(g: Graph, k: int, name: str):
 
 
 def _emit(text: str, out: str | None) -> None:
-    # The one report writer. A file is UTF-8 on every locale; the bytes of a
-    # file name that is not UTF-8, which reach a report as surrogates, are
-    # written back as they were.
+    # The one writer of reports and status lines. A file is UTF-8 on every
+    # locale; the bytes of a file name that is not UTF-8, which reach a report
+    # as surrogates, are written back as they were, to a file or to a stdout
+    # whose encoding refuses them.
     text = text if text.endswith("\n") else text + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
+        return
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(os.fsencode(text))
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(columns: list[str], rows: list[dict]) -> str:
+    # A row names its fields; a column it leaves out is written empty.
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
+    writer = csv.DictWriter(buffer, columns, restval="")
+    writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
 
 
-# The columns of a solution row in both solve's CSV and bench's.
-_SOLUTION_COLUMNS = "algorithm k n m density_num density_den density".split()
-
-
-def _solution_columns(sol, g: Graph) -> list:
+def _solution_row(sol, g: Graph, elapsed_ms: float) -> dict:
+    # A solution's fields in both solve's CSV and bench's.
     dens = sol.density
-    return [sol.algorithm, sol.k, g.n, g.m, dens.numerator, dens.denominator, _decimal(dens)]
+    return {"algorithm": sol.algorithm, "k": sol.k, "n": g.n, "m": g.m,
+            "density_num": dens.numerator, "density_den": dens.denominator,
+            "density": _decimal(dens), "elapsed_ms": elapsed_ms}
 
 
 def _instance(path, g: Graph) -> dict:
@@ -147,8 +146,9 @@ def cmd_solve(args) -> int:
         report["ratio"] = (_density_json(exact.best_density / best.density)
                            if best.density > 0 else None)
     if args.format == "csv":
-        _emit(_csv(_SOLUTION_COLUMNS + ["elapsed_ms", "vertices"],
-                   [_solution_columns(sol, g) + [ms, " ".join(map(str, sol.vertices))]
+        _emit(_csv("algorithm k n m density_num density_den density elapsed_ms "
+                   "vertices".split(),
+                   [{**_solution_row(sol, g, ms), "vertices": " ".join(map(str, sol.vertices))}
                     for sol, ms in runs]), args.out)
     else:
         _emit(json.dumps(report, indent=2), args.out)
@@ -170,47 +170,34 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _require(args, names: list[str], family: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ValueError(
-            f"family {family} needs {', '.join('--' + n for n in missing)}"
-        )
+def _gnp_instance(a) -> GapInstance:
+    g = gnp(a.n, a.p, a.seed)
+    params = {"requested_n": a.n, "p": a.p, "seed": a.seed, "truncated": g.n != a.n}
+    return GapInstance(graph=g, k=None, known_opt_density=None,
+                       known_connected_density=None, family="GNP", params=params)
 
 
-# The families whose generator returns a GapInstance: family -> (required
-# options, builder from the parsed arguments).
-_GAP_FAMILIES = {
+# Every family gen writes: family -> (required options, builder of its
+# GapInstance from the parsed arguments).
+_FAMILIES = {
     "example1a": (["ell"], lambda a: example1a(a.ell)),
     "example1b": (["ell"], lambda a: example1b(a.ell)),
+    "gnp": (["n", "p"], _gnp_instance),
     "planted": (["n", "k", "p-in", "p-out"],
                 lambda a: planted(a.n, a.k, a.p_in, a.p_out, a.seed)),
 }
 
 
 def cmd_gen(args) -> int:
+    required, build = _FAMILIES[args.family]
+    missing = [name for name in required if getattr(args, name.replace("-", "_")) is None]
+    if missing:
+        raise ValueError(f"family {args.family} needs {', '.join('--' + n for n in missing)}")
+    instance = build(args)
     out = Path(args.out)
-    if args.family in _GAP_FAMILIES:
-        required, build = _GAP_FAMILIES[args.family]
-        _require(args, required, args.family)
-        instance = build(args)
-        sidecar = instance.save(out)
-        g = instance.graph
-    else:  # gnp
-        _require(args, ["n", "p"], args.family)
-        g = gnp(args.n, args.p, args.seed)
-        sidecar = save_instance(
-            g,
-            out,
-            family="GNP",
-            params={
-                "requested_n": args.n,
-                "p": args.p,
-                "seed": args.seed,
-                "truncated": g.n != args.n,
-            },
-        )
-    print(f"wrote {out} (n={g.n}, m={g.m}) with sidecar {sidecar}")
+    sidecar = instance.save(out)
+    g = instance.graph
+    _emit(f"wrote {out} (n={g.n}, m={g.m}) with sidecar {sidecar}", None)
     return EXIT_OK
 
 
@@ -251,7 +238,7 @@ def cmd_bench(args) -> int:
             ks = [sidecar_k] if given_ks is None else given_ks
         except (ValueError, OSError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
-            rows.append([path.name, family] + [""] * 9 + [str(exc)])
+            rows.append({"instance": path.name, "family": family, "status": str(exc)})
             continue
         # Every algorithm that accepts the graph: all five on unweighted input.
         names = [name for name, (weighted, _) in ALGORITHMS.items()
@@ -263,20 +250,20 @@ def cmd_bench(args) -> int:
                 try:
                     sol, elapsed_ms = _timed_run(g, k, name)
                 except ValueError as exc:
-                    rows.append(
-                        [path.name, family, name.upper(), k, g.n, g.m,
-                         "", "", "", "", "", str(exc)]
-                    )
+                    rows.append({"instance": path.name, "family": family,
+                                 "algorithm": name.upper(), "k": k, "n": g.n, "m": g.m,
+                                 "status": str(exc)})
                     continue
-                ratio = ""
+                ratio = None
                 if known_opt is not None and sol.density > 0:
                     ratio = _decimal(known_opt / sol.density)
-                rows.append([path.name, family] + _solution_columns(sol, g)
-                            + [ratio, elapsed_ms, "ok"])
-    _emit(_csv(["instance", "family"] + _SOLUTION_COLUMNS
-               + ["ratio_vs_known", "elapsed_ms", "status"], rows), args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    failed = sum(row[-1] != "ok" for row in rows)
+                rows.append({"instance": path.name, "family": family,
+                             **_solution_row(sol, g, elapsed_ms),
+                             "ratio_vs_known": ratio, "status": "ok"})
+    _emit(_csv("instance family algorithm k n m density_num density_den density "
+               "ratio_vs_known elapsed_ms status".split(), rows), args.out)
+    _emit(f"wrote {len(rows)} rows to {args.out}", None)
+    failed = sum(row["status"] != "ok" for row in rows)
     if failed:
         print(f"error: {failed} of {len(rows)} solves failed; see the status column",
               file=sys.stderr)
@@ -330,9 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", help="write an instance file plus JSON sidecar")
-    gen.add_argument(
-        "family", choices=("example1a", "example1b", "gnp", "planted")
-    )
+    gen.add_argument("family", choices=tuple(_FAMILIES))
     gen.add_argument("--ell", type=integer, default=None, help="family scale, >= 2")
     gen.add_argument("--n", type=integer, default=None)
     gen.add_argument("--p", type=float, default=None)

@@ -57,12 +57,14 @@ class GapInstance:
 
     known_opt_density is the exact unconstrained optimum for the EX1A/EX1B
     families and a certified lower bound for PLANTED (the planted block's
-    own density). known_connected_density is None when nothing is claimed.
+    own density). A field that is None claims nothing: a GNP draw, which
+    the CLI wraps in a GapInstance, suggests no k and claims no optimum,
+    and PLANTED claims no connected optimum.
     """
 
     graph: Graph
-    k: int
-    known_opt_density: Fraction
+    k: int | None
+    known_opt_density: Fraction | None
     known_connected_density: Fraction | None
     family: str
     params: dict[str, Any]
@@ -232,14 +234,21 @@ def save_instance(
     known_opt: Fraction | None = None,
     known_connected: Fraction | None = None,
 ) -> Path:
-    """Write the edge-list file plus the JSON sidecar describing it."""
+    """Write the edge-list file plus the JSON sidecar describing it.
+
+    ValueError, before anything is written, when path is its own sidecar
+    path (one ending in .json): the sidecar would overwrite the instance.
+    """
     path = Path(path)
+    side = sidecar_path(path)
+    if side == path:
+        raise ValueError(f"instance path {path} is its own sidecar path; "
+                         "give it a suffix other than .json")
     save_edge_list(graph, path)
     meta = {"family": family, "params": params, "k": k}
     for name, value in (("known_opt", known_opt), ("known_connected", known_connected)):
         meta[f"{name}_num"] = None if value is None else value.numerator
         meta[f"{name}_den"] = None if value is None else value.denominator
-    side = sidecar_path(path)
     side.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return side
 

@@ -1,8 +1,11 @@
 """Command line surface: reports, exit codes, file round trips."""
 
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +13,19 @@ import pytest
 
 import densek.cli
 import densek.graph
-from densek import load_edge_list
+from densek import (
+    example1a,
+    example1b,
+    gnp,
+    load_edge_list,
+    planted,
+    save_instance,
+)
 from densek.cli import main
 
 K4P_TEXT = "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 # a valid header and first edge, then a byte that is not UTF-8 on line 3
 NOT_UTF8 = b"3 2\n0 1\n1 \xff2\n"
 # a weighted path whose densities, and ratios against them, are too large
@@ -46,6 +57,21 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_strict(cwd, argv):
+    """densek in a subprocess whose stdout refuses surrogates, as a UTF-8
+    locale without UTF-8 mode makes it."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "densek.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, check=False)
+
+
+def gnp_instance(n, p, seed):
+    # what densek gen gnp saves: the draw and a sidecar without k or optima
+    g = gnp(n, p, seed)
+    return lambda path: save_instance(g, path, family="GNP", params={
+        "requested_n": n, "p": p, "seed": seed, "truncated": g.n != n})
 
 
 class TestSolve:
@@ -476,6 +502,47 @@ class TestGen:
         ) == 0
         assert load_edge_list(out).n == 14
 
+    @pytest.mark.parametrize("argv, save", [
+        (["example1a", "--ell", "3"], example1a(3).save),
+        (["example1b", "--ell", "3"], example1b(3).save),
+        (["gnp", "--n", "16", "--p", "0.12", "--seed", "0"], gnp_instance(16, 0.12, 0)),
+        (["gnp", "--n", "20", "--p", "0.3", "--seed", "5"], gnp_instance(20, 0.3, 5)),
+        (["planted", "--n", "14", "--k", "5", "--p-in", "0.9", "--p-out", "0.1",
+          "--seed", "3"], planted(14, 5, 0.9, 0.1, 3).save),
+    ], ids=["example1a", "example1b", "gnp-truncated", "gnp", "planted"])
+    def test_writes_what_the_library_writes(self, tmp_path, argv, save):
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        cli.mkdir()
+        lib.mkdir()
+        assert main(["gen"] + argv + ["--out", str(cli / "i.edges")]) == 0
+        save(lib / "i.edges")
+        for name in ("i.edges", "i.json"):
+            assert (cli / name).read_bytes() == (lib / name).read_bytes()
+
+    def test_parser_offers_exactly_the_four_families(self):
+        parser = densek.cli._build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        family = next(action for action in commands.choices["gen"]._actions
+                      if action.dest == "family")
+        assert tuple(family.choices) == ("example1a", "example1b", "gnp", "planted")
+
+    def test_out_that_is_its_own_sidecar(self, capsys, tmp_path):
+        # x.json would be overwritten by its own sidecar: exit 4, no file
+        out = tmp_path / "x.json"
+        assert main(["gen", "example1a", "--ell", "2", "--out", str(out)]) == 4
+        assert "its own sidecar path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_status_line_keeps_file_name_bytes(self, tmp_path):
+        # a name made from bytes is the same on every locale, ASCII too
+        result = run_strict(tmp_path, ["gen", "example1a", "--ell", "2",
+                                       "--out", b"y\xff.edges"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"wrote y\xff.edges (n=8, m=7) with sidecar y\xff.json\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.fsdecode(name) for name in (b"y\xff.edges", b"y\xff.json"))
+
     def test_missing_family_parameters(self, capsys):
         assert main(["gen", "gnp", "--n", "10", "--out", "x.edges"]) == 4
         assert "--p" in capsys.readouterr().err
@@ -709,6 +776,16 @@ class TestBench:
         capsys.readouterr()
         body = out.read_bytes().splitlines()[1:]
         assert [row.split(b",")[0] for row in body] == [names[0]] * 5 + [names[1]] * 5
+
+    def test_status_line_keeps_file_name_bytes(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(K4P_TEXT)
+        result = run_strict(tmp_path, ["bench", "--corpus", "corpus", "--k", "4",
+                                       "--out", b"r\xff.csv"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"wrote 5 rows to r\xff.csv\n"
+        assert len((tmp_path / os.fsdecode(b"r\xff.csv")).read_bytes().splitlines()) == 6
 
     @pytest.mark.parametrize("ks", ["4,0_6", "\u0664"])
     def test_k_list_outside_the_integer_format(self, capsys, tmp_path, no_graph_built, ks):

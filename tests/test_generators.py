@@ -224,3 +224,13 @@ class TestPersistence:
         target = tmp_path / "bare.edges"
         target.write_text("2 1\n0 1\n")
         assert load_sidecar(target) is None
+
+    def test_path_that_is_its_own_sidecar_is_refused(self, tmp_path):
+        # the sidecar of inst.json is inst.json itself, so writing both would
+        # leave only the sidecar: nothing is written
+        target = tmp_path / "inst.json"
+        with pytest.raises(ValueError, match="its own sidecar path"):
+            save_instance(gnp(10, 0.5, seed=2), target, family="GNP", params={})
+        with pytest.raises(ValueError, match="its own sidecar path"):
+            example1a(2).save(target)
+        assert list(tmp_path.iterdir()) == []

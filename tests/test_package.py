@@ -30,6 +30,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_cli_prints_to_stderr_only():
+    # stdout is written only through cli._emit, which keeps a file name's
+    # bytes on a stdout whose encoding refuses them; print() is for errors
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                    for kw in node.keywords)
+    ]
+    assert found == []
+
+
 def test_text_io_names_its_encoding():
     # the locale's encoding varies (ASCII under LC_ALL=C), so every
     # text-mode open(), read_text() and write_text() in the package names one

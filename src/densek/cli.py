@@ -30,7 +30,7 @@ from .algorithms import (
     suite_names,
 )
 from .generators import GapInstance, example1a, example1b, gnp, load_sidecar, planted
-from .graph import EdgeListError, Graph, _integers, load_edge_list, load_header
+from .graph import EdgeListError, Graph, _integers, load_edge_list
 from .oracle import OracleLimitError, brute_k, check_brute_k
 
 EXIT_OK = 0
@@ -113,17 +113,21 @@ def _instance(path, g: Graph) -> dict:
     return {"path": path, "n": g.n, "m": g.m, "weighted": g.weighted}
 
 
-def _check_oracle_header(path, k: int, limit: int | None) -> None:
-    # brute_k's checks on the header's n first: a huge n is refused before
-    # any edge is read, any per-vertex list is built or any solver runs.
-    n, _, _ = load_header(path)
-    check_brute_k(n, k, limit)
+def _connectable(n: int, m: int) -> None:
+    # solve's and bench's header rule: every solver needs a connected graph,
+    # and none fits n > m + 1, so a huge n is refused before it is allocated.
+    if n > m + 1:
+        raise ValueError(f"header declares n={n} vertices and m={m} edges; "
+                         f"a connected graph needs n <= m + 1")
 
 
 def cmd_solve(args) -> int:
-    if args.oracle:
-        _check_oracle_header(args.input, args.k, args.oracle_limit)
-    g = load_edge_list(args.input, connectable=True)
+    def check(n: int, m: int) -> None:
+        if args.oracle:
+            check_brute_k(n, args.k, args.oracle_limit)
+        _connectable(n, m)
+
+    g = load_edge_list(args.input, check)
     names = suite_names(g) if args.algo == "auto" else [args.algo]
     runs = [_timed_run(g, args.k, name) for name in names]
     solutions = [sol for sol, _ in runs]
@@ -156,8 +160,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_oracle_header(args.input, args.k, args.oracle_limit)
-    g = load_edge_list(args.input)
+    g = load_edge_list(args.input,
+                       lambda n, m: check_brute_k(n, args.k, args.oracle_limit))
     exact = brute_k(g, args.k, connected=args.connected, limit=args.oracle_limit)
     report = {
         "instance": _instance(args.input, g),
@@ -177,22 +181,29 @@ def _gnp_instance(a) -> GapInstance:
                        known_connected_density=None, family="GNP", params=params)
 
 
-# Every family gen writes: family -> (required options, builder of its
-# GapInstance from the parsed arguments).
+# Every family gen writes: family -> (the options it takes, builder of its
+# GapInstance from the parsed arguments). Each option is required but
+# --seed, which is 0 when not given; any other option is refused.
 _FAMILIES = {
     "example1a": (["ell"], lambda a: example1a(a.ell)),
     "example1b": (["ell"], lambda a: example1b(a.ell)),
-    "gnp": (["n", "p"], _gnp_instance),
-    "planted": (["n", "k", "p-in", "p-out"],
+    "gnp": (["n", "p", "seed"], _gnp_instance),
+    "planted": (["n", "k", "p-in", "p-out", "seed"],
                 lambda a: planted(a.n, a.k, a.p_in, a.p_out, a.seed)),
 }
 
 
 def cmd_gen(args) -> int:
-    required, build = _FAMILIES[args.family]
-    missing = [name for name in required if getattr(args, name.replace("-", "_")) is None]
-    if missing:
-        raise ValueError(f"family {args.family} needs {', '.join('--' + n for n in missing)}")
+    takes, build = _FAMILIES[args.family]
+    given = {name for options, _ in _FAMILIES.values() for name in options
+             if getattr(args, name.replace("-", "_")) is not None}
+    missing = [name for name in takes if name not in given and name != "seed"]
+    for names, fault in ((missing, "needs"), (sorted(given.difference(takes)), "takes no")):
+        if names:
+            raise ValueError(f"family {args.family} {fault} "
+                             + ", ".join("--" + name for name in names))
+    if args.seed is None:
+        args.seed = 0
     instance = build(args)
     out = Path(args.out)
     sidecar = instance.save(out)
@@ -230,7 +241,7 @@ def cmd_bench(args) -> int:
         # its own row only, as a failed solve does below.
         try:
             family, sidecar_k, known_opt = load_sidecar(path) or ("", None, None)
-            g = load_edge_list(path, connectable=True)
+            g = load_edge_list(path, _connectable)
             if given_ks is None and sidecar_k is None:
                 raise ValueError(
                     "no k for instance: pass --k or generate instances with a sidecar k"
@@ -324,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=integer, default=None)
     gen.add_argument("--p-in", type=float, default=None, dest="p_in")
     gen.add_argument("--p-out", type=float, default=None, dest="p_out")
-    gen.add_argument("--seed", type=integer, default=0)
+    gen.add_argument("--seed", type=integer, default=None)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

@@ -428,7 +428,7 @@ def _parse_header(line: str) -> tuple[int, int, bool]:
     return n, m, len(head) == 3
 
 
-def parse_edge_list(text: str, connectable: bool = False) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the package's edge-list format.
 
     Line 1 is ``n m`` or ``n m weighted``; the next m lines are ``u v`` or
@@ -436,17 +436,10 @@ def parse_edge_list(text: str, connectable: bool = False) -> Graph:
     Violations raise EdgeListError with the offending line number, in this
     order: the header; the syntax of the m edge lines (field count,
     integers, a missing line); the first bad edge in file order (id out of
-    range, self-loop, duplicate, negative weight); content after them. With
-    connectable=True a header with n > m + 1, which no connected graph
-    fits, raises ValueError before any per-vertex list is built.
+    range, self-loop, duplicate, negative weight); content after them.
     """
     lines = text.splitlines()
     n, m, weighted = _parse_header(lines[0] if lines else "")
-    if connectable and n > m + 1:
-        raise ValueError(
-            f"header declares n={n} vertices and m={m} edges; "
-            f"a connected graph needs n <= m + 1"
-        )
     fields = 3 if weighted else 2
     edges: list[tuple[int, int]] = []
     weights: list[int] = []
@@ -488,35 +481,36 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_text(path, first_line: bool = False) -> str:
-    # The file (or its first line) decoded as UTF-8. A byte that is not
-    # UTF-8 raises EdgeListError with its line as splitlines() counts them,
-    # after a bad header on an earlier line; first_line=True keeps the text
-    # before a bad byte on a later line than the first.
-    with open(path, "rb") as fh:
-        data = fh.readline() if first_line else fh.read()
+def _decode(data: bytes, first_line: bool = False) -> str:
+    # data decoded as UTF-8. A byte that is not UTF-8 raises EdgeListError
+    # with its line as splitlines() counts them; with first_line=True, one
+    # on a later line than the first ends the text instead.
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         text = data[: exc.start].decode("utf-8")
         line = len((text + "x").splitlines())
-        if line > 1:
-            if first_line:
-                return text
-            _parse_header(text.splitlines()[0])
+        if first_line and line > 1:
+            return text
         raise EdgeListError(line, "not UTF-8 text") from None
 
 
-def load_edge_list(path, connectable: bool = False) -> Graph:
-    """parse_edge_list on a file, which must be UTF-8 text."""
-    return parse_edge_list(_read_text(path), connectable)
+def load_edge_list(path, check: Callable[[int, int], None] | None = None) -> Graph:
+    """parse_edge_list on a file, which must be UTF-8 text, opened once.
 
-
-def load_header(path) -> tuple[int, int, bool]:
-    """(n, m, weighted) from an edge-list file's first line alone."""
-    text = _read_text(path, first_line=True)
-    # the first line as parse_edge_list's splitlines() cuts it
-    return _parse_header(text.splitlines()[0] if text else "")
+    The header is read from line 1 first, and check(n, m), if given, runs
+    on it before any later byte is read: what it raises comes before every
+    fault past the header, and a pipe can be read.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        text = _decode(first, first_line=True)
+        # line 1 as parse_edge_list's splitlines() cuts it
+        n, m, _ = _parse_header(text.splitlines()[0] if text else "")
+        if check is not None:
+            check(n, m)
+        data = first + fh.read()
+    return parse_edge_list(_decode(data))
 
 
 def save_edge_list(g: Graph, path) -> None:

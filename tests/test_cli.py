@@ -225,6 +225,14 @@ class TestSolveErrors:
         err = capsys.readouterr().err
         assert f"n={n}" in err and f"m={m}" in err
 
+    def test_refused_header_before_a_bad_byte(self, capsys, tmp_path, no_graph_built):
+        # the header rule runs before any byte past line 1 is read
+        target = tmp_path / "sparse.edges"
+        target.write_bytes(b"50 1\n0 \xff1\n")
+        assert main(["solve", "--input", str(target), "--k", "3"]) == 4
+        err = capsys.readouterr().err
+        assert "n=50" in err and "m=1" in err
+
     def test_tree_header_is_accepted(self, capsys, tmp_path):
         target = tmp_path / "path.edges"
         target.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -415,6 +423,43 @@ class TestOracleCommand:
         }
 
 
+def run_on_stdin(argv, data):
+    """densek in a subprocess reading its instance from a pipe on stdin."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "densek.cli", *argv,
+                           "--input", "/dev/stdin"],
+                          input=data, env=env, capture_output=True, check=False)
+
+
+def without_times(report):
+    # a report with its path and the timings of its entries left out
+    report["instance"].pop("path")
+    for entry in report.get("entries", []) + [report.get("best", {})]:
+        entry.pop("elapsed_ms", None)
+    return report
+
+
+class TestInputFromAPipe:
+    """A pipe can be read once only: each command opens its input once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--k", "3"],
+        ["solve", "--k", "4", "--oracle"],
+        ["solve", "--k", "4"],
+    ], ids=["oracle", "solve-oracle", "solve"])
+    def test_report_is_the_file_report(self, capsys, k4p_file, argv):
+        result = run_on_stdin(argv, K4P_TEXT.encode())
+        assert result.returncode == 0, result.stderr
+        code, expected = run_json(capsys, argv + ["--input", str(k4p_file)])
+        assert code == 0
+        assert without_times(json.loads(result.stdout)) == without_times(expected)
+
+    def test_refused_header(self):
+        result = run_on_stdin(["solve", "--k", "3"], b"50 1\n0 \xff1\n")
+        assert result.returncode == 4
+        assert b"n=50" in result.stderr and b"m=1" in result.stderr
+
+
 class TestValuesTooLargeForAFloat:
     """A density or ratio beyond float range has no decimal, but keeps its
     exact numerator and denominator and the exit code 0."""
@@ -546,6 +591,27 @@ class TestGen:
     def test_missing_family_parameters(self, capsys):
         assert main(["gen", "gnp", "--n", "10", "--out", "x.edges"]) == 4
         assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["gnp", "--n", "10", "--p", "0.5", "--k", "4"], "--k"),
+        (["example1a", "--ell", "2", "--n", "99", "--seed", "7", "--p", "0.3"],
+         "--n, --p, --seed"),
+    ], ids=["gnp-k", "example1a-n-p-seed"])
+    def test_option_the_family_does_not_take(self, capsys, tmp_path, argv, option):
+        # an option the family would drop is refused, and nothing is written
+        out = tmp_path / "g.edges"
+        assert main(["gen"] + argv + ["--out", str(out)]) == 4
+        assert f"takes no {option}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        for family, argv in (("gnp", ["--n", "16", "--p", "0.12"]),
+                             ("planted", ["--n", "14", "--k", "5", "--p-in", "0.9",
+                                          "--p-out", "0.1"])):
+            out = tmp_path / f"{family}.edges"
+            assert main(["gen", family] + argv + ["--out", str(out)]) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            assert sidecar["params"]["seed"] == 0
 
     def test_bad_scale(self, tmp_path):
         out = tmp_path / "a.edges"
@@ -843,6 +909,16 @@ class TestBench:
         assert main(["bench", "--corpus", str(corpus),
                      "--out", str(tmp_path / "x.csv")]) == 4
         assert "--k" in capsys.readouterr().err
+
+    def test_refused_header_before_a_bad_byte(self, capsys, tmp_path, no_graph_built):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "sparse.edges").write_bytes(b"50 1\n0 \xff1\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "3",
+                     "--out", str(out)]) == 4
+        [row] = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+        assert "n=50" in row["status"] and "m=1" in row["status"]
 
     def test_more_vertices_than_edges_plus_one(self, capsys, tmp_path, no_graph_built):
         corpus = tmp_path / "corpus"

@@ -1,3 +1,5 @@
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from densek.graph import (
     is_connected,
     j_attachment,
     load_edge_list,
-    load_header,
     parse_edge_list,
 )
 from helpers import (
@@ -509,12 +510,46 @@ class TestEdgeListFormat:
             load_edge_list(target)
 
     def test_header_reads_line_one_alone(self, tmp_path):
+        # check sees the header of line 1 as splitlines() cuts it, before a
+        # bad byte on a later line; a bad byte on line 1 comes before it
+        seen = []
         target = tmp_path / "bad.edges"
         target.write_bytes(b"3 1 weighted\r0 1 \xff\n")
-        assert load_header(target) == (3, 1, True)
+        with pytest.raises(EdgeListError, match="line 2: not UTF-8 text"):
+            load_edge_list(target, lambda n, m: seen.append((n, m)))
+        assert seen == [(3, 1)]
         target.write_bytes(b"3 \xff1\n0 1\n")
         with pytest.raises(EdgeListError, match="line 1: not UTF-8 text"):
-            load_header(target)
+            load_edge_list(target, lambda n, m: seen.append((n, m)))
+        assert seen == [(3, 1)]
+
+    def test_check_runs_before_any_later_byte_is_read(self, tmp_path):
+        # a pipe holding line 1 alone, its writer still open: a read past
+        # line 1 would wait for the writer, which gives up after 10 s
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        done = threading.Event()
+        gave_up = []
+
+        def write_header():
+            with open(fifo, "wb") as fh:
+                fh.write(b"5 1\n")
+                fh.flush()
+                if not done.wait(10):
+                    gave_up.append(True)
+
+        def refuse(n, m):
+            raise ValueError(f"refused n={n} m={m}")
+
+        writer = threading.Thread(target=write_header)
+        writer.start()
+        try:
+            with pytest.raises(ValueError, match="refused n=5 m=1"):
+                load_edge_list(fifo, refuse)
+        finally:
+            done.set()
+            writer.join()
+        assert gave_up == []
 
     @pytest.mark.parametrize("text, line", [
         ("1_0 2\n0 1\n1 2\n", 1),

@@ -2,11 +2,16 @@
 
 import ast
 import importlib
+import io
 import re
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import densek
+import densek.algorithms
+import densek.cli
 from densek.algorithms import ALGORITHMS
 from test_algorithms import TestTraceEvents as TraceEvents
 
@@ -178,3 +183,67 @@ def test_top_level_exports_the_readme_public_names():
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert set(densek.__all__) == listed == public
     assert len(densek.__all__) == len(listed)
+
+
+def claimed_value(comment: str) -> str | None:
+    """The value a README comment states for the line's expression: the
+    shortest start of the comment that is an expression and ends at a ","
+    or ":" or at its end, as "Fraction(2, 1)" in "# Fraction(2, 1), exact
+    optimum"; None for prose, as "# g from the example above"."""
+    for cut in [m.start() for m in re.finditer("[,:]", comment)] + [len(comment)]:
+        try:
+            ast.parse(comment[:cut], mode="eval")
+        except SyntaxError:
+            continue
+        return comment[:cut]
+    return None
+
+
+def test_claimed_value():
+    assert claimed_value("(0, 1, 2, 3)") == "(0, 1, 2, 3)"
+    assert claimed_value("Fraction(7, 3), no size constraint") == "Fraction(7, 3)"
+    assert claimed_value("[('a', {'b': 1})]: prose") == "[('a', {'b': 1})]"
+    assert claimed_value("g from the example above") is None
+
+
+def test_readme_python_results_hold():
+    # the README's Python blocks from "## Library" to "## CLI", run as the
+    # CI step runs them, as one script; an expression whose comment states
+    # a value must give that value, as its repr
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = section.split("\n## CLI\n", 1)[0]
+    script = "".join(re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S))
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(script).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked, wrong = [], []
+    try:
+        for stmt in ast.parse(script).body:
+            comment = comments.get(stmt.end_lineno, "")
+            value = claimed_value(comment) if isinstance(stmt, ast.Expr) else None
+            if value is None:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            checked.append(ast.unparse(stmt))
+            if repr(got) != repr(eval(value, {"Fraction": Fraction})):
+                wrong.append((ast.unparse(stmt), value, got))
+    finally:
+        densek.algorithms.trace = None
+    assert wrong == []
+    assert len(checked) >= 5
+
+
+def test_readme_exit_code_table_matches_the_cli():
+    # the table after "Exit codes:" has one row per EXIT_* constant of
+    # densek.cli, so every code an error class exits with has its row
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nExit codes:\n", 1)[1].strip().split("\n\n", 1)[0]
+    codes = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)]
+    constants = [value for name, value in vars(densek.cli).items()
+                 if name.startswith("EXIT_")]
+    assert codes == sorted(constants)
+    assert {code for _, code in densek.cli._EXIT_CODES} <= set(codes)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -282,6 +283,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     def integer(text: str) -> int:
         # An integer option in the file format's one syntax; argparse names
@@ -312,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--oracle-limit", type=integer, default=None)
     solve.add_argument("--out", default=None, help="write report here, not stdout")
-    solve.set_defaults(func=cmd_solve)
 
     oracle = sub.add_parser("oracle", help="exact optimum by enumeration")
     oracle.add_argument("--input", required=True)
@@ -325,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument("--oracle-limit", type=integer, default=None)
     oracle.add_argument("--out", default=None)
-    oracle.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", help="write an instance file plus JSON sidecar")
     gen.add_argument("family", choices=tuple(_FAMILIES))
@@ -337,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p-out", type=float, default=None, dest="p_out")
     gen.add_argument("--seed", type=integer, default=None)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
 
     bench = sub.add_parser(
         "bench",
@@ -349,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--k", default=None, help="comma-separated k values; default sidecar k"
     )
     bench.add_argument("--out", required=True, help="CSV output path")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -364,6 +362,13 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one densek command line and return its exit code.
+
+    main may be called any number of times in one process, as the
+    benchmark's in-process solves do. The parser is built on the first call
+    and shared by the rest; it holds no command function, so each call
+    runs the cmd_<command> that this module holds at that moment.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve" and args.oracle_limit is not None and not args.oracle:
@@ -371,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "solve" and args.oracle and args.format != "json":
         parser.error("solve: --oracle needs --format json")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -165,15 +165,21 @@ def _member_set(g: Graph, within) -> set[int] | range:
     return members
 
 
-def induced_weight(g: Graph, s: Iterable[int]) -> int:
-    """Total weight of edges with both ends in s (edge count if unweighted)."""
-    ss = set(s)
+def induced_weight(g: Graph, s: Iterable[int] | None = None) -> int:
+    """Total weight of edges with both ends in s (edge count if unweighted).
+
+    s is a view like any other: None is the whole graph, a repeated id
+    counts once, and an id outside 0..n-1 raises ValueError.
+    """
+    members = _member_set(g, s)
+    weight_of = g._weight_of
+    adj = g._adj
     total = 0
-    weight = g.edge_weight
-    for v in ss:
-        for u in g.neighbors(v):
-            if u > v and u in ss:
-                total += weight(v, u)
+    for v in members:
+        for u in adj[v]:
+            # (v, u) with v < u is the key the edge is stored under
+            if u > v and u in members:
+                total += weight_of[v, u]
     return total
 
 

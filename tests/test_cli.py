@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -437,6 +438,56 @@ def without_times(report):
     for entry in report.get("entries", []) + [report.get("best", {})]:
         entry.pop("elapsed_ms", None)
     return report
+
+
+def blank_times(data):
+    # report bytes with every elapsed_ms value as "_": a JSON report's
+    # "elapsed_ms" fields and the eighth column of solve's CSV
+    data = re.sub(rb'("elapsed_ms": )[-+.0-9eE]+', rb"\1_", data)
+    return re.sub(rb"^((?:[^,\r\n]*,){7})[^,\r\n]*", rb"\1_", data, flags=re.M)
+
+
+class TestSharedParser:
+    """main builds its parser once per process and may be called again and
+    again in it, as the benchmark's in-process solves call it."""
+
+    def test_built_once(self):
+        assert densek.cli._build_parser() is densek.cli._build_parser()
+
+    def test_each_call_answers_as_a_fresh_process(self, capsys, k4p_file, tmp_path):
+        # a refused option, then an oracle run, then plain solves: nothing
+        # the earlier calls parsed reaches a later report
+        solve = ["solve", "--input", str(k4p_file), "--k", "4"]
+        codes, reports = [], []
+        for argv in (solve + ["--oracle-limit", "5"], solve + ["--oracle"], solve,
+                     solve + ["--format", "csv"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = run_strict(tmp_path, argv)
+            assert code == fresh.returncode, argv
+            assert blank_times(captured.out.encode()) == blank_times(fresh.stdout), argv
+            assert captured.err.encode() == fresh.stderr, argv
+            codes.append(code)
+            reports.append(captured.out)
+        assert codes == [2, 0, 0, 0]
+        assert "oracle" in json.loads(reports[1])
+        assert "oracle" not in json.loads(reports[2])
+
+    def test_a_command_patched_in_later_is_the_one_that_runs(
+        self, capsys, monkeypatch, k4p_file
+    ):
+        argv = ["solve", "--input", str(k4p_file), "--k", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(densek.cli, "cmd_solve",
+                            lambda args: calls.append(args.k) or 0)
+        assert main(argv) == 0
+        assert calls == [4]
+        assert capsys.readouterr().out == ""
 
 
 class TestInputFromAPipe:

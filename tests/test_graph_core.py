@@ -2,6 +2,7 @@ import os
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -165,6 +166,22 @@ class TestDensity:
     def test_induced_weight_subset(self):
         assert induced_weight(k4p(), [0, 1, 2]) == 3
         assert induced_weight(k4p(), [0, 4]) == 0
+
+    @pytest.mark.parametrize("s", [[-1, 0], [0, 3]], ids=["negative", "past-n"])
+    def test_induced_weight_unknown_vertex_errors(self, s):
+        # refused as density refuses it, not read as the last vertex or
+        # left to an IndexError
+        with pytest.raises(ValueError, match="unknown vertex"):
+            induced_weight(complete(3), s)
+
+    @given(st.one_of(simple_graphs(weighted=True), simple_graphs()), st.data())
+    def test_induced_weight_sums_the_edges_inside(self, g, data):
+        # zero weights count as edges that add nothing; a list may repeat ids
+        ids = st.integers(0, g.n - 1)
+        s = data.draw(st.one_of(st.lists(ids), st.sets(ids)))
+        expected = sum(w for (u, v), w in zip(g.edges, g.weights or repeat(1))
+                       if u in s and v in s)
+        assert induced_weight(g, s) == expected
 
     def test_edge_boundary(self):
         assert count_edges_between(k4p(), [0, 1], [2, 3]) == 4
@@ -425,6 +442,7 @@ class TestWholeGraphView:
         def answers(whole):
             return (
                 density(g, whole),
+                induced_weight(g, whole),
                 components(g, whole),
                 is_connected(g, whole),
                 cut_vertices(g, whole),

@@ -429,19 +429,68 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
     """Keep each vertex's k-1 heaviest edges as a star; best star wins.
 
     Works on weighted and unweighted graphs alike and on any k from 1 to n.
+    Each star is grown to k vertices in the whole graph by a breadth-first
+    search in `_bfs`'s order, and its set is scored as it is grown. Twice
+    the set's weight is the sum over its members of their edge weights into
+    the set. Two exact facts keep that sum cheap:
+
+    1. A member whose neighbour list the search scanned to the end has all
+       its neighbours in the set, so its share is its weighted degree; only
+       the other members have their neighbours checked.
+    2. Twice the set's weight is at most its members' weighted degrees
+       summed. When that sum is at most twice the best weight so far, the
+       star cannot beat the best, and its checks are skipped.
+
+    The heaviest set wins; a tie keeps the earlier star, whose center has
+    the smaller id, so the skip in fact 2 never changes the answer.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range 1..{g.n}")
     if not is_connected(g):
         raise ValueError("input graph must be connected")
-
-    def grown(v: int) -> set[int]:
-        # expand_to_k's checks hold: the star is v and at most k - 1 of its
-        # neighbours, and the graph is connected with k <= n.
-        star = {v} | _top(g.neighbors(v), k - 1, lambda u: g.edge_weight(v, u))
-        return _bfs(g, star, range(g.n), k)
-
-    best = max(map(grown, range(g.n)), key=lambda out: induced_weight(g, out))
+    adj = g._adj
+    weight_of = g._weight_of
+    wdeg = [0] * g.n
+    for (u, v), w in weight_of.items():
+        wdeg[u] += w
+        wdeg[v] += w
+    best = None
+    best_twice = -1
+    for center in range(g.n):
+        row = adj[center]
+        chosen = _top(
+            row, k - 1,
+            lambda u: weight_of[center, u] if center < u else weight_of[u, center],
+        )
+        chosen.add(center)
+        # order is the search's queue, popped and not: order[:scanned] are
+        # the members whose neighbour lists were scanned to the end.
+        order = sorted(chosen)
+        scanned = 0
+        while len(chosen) < k:
+            if scanned == len(order):
+                raise RuntimeError("weighted_greedy: a connected graph must reach k vertices")
+            row = adj[order[scanned]]
+            for u in row:
+                if u not in chosen:
+                    chosen.add(u)
+                    order.append(u)
+                    if len(chosen) == k:
+                        break
+            # a list cut short at k was still read to the end when its last
+            # neighbour was the one taken
+            if len(chosen) < k or u == row[-1]:
+                scanned += 1
+        bound = sum(map(wdeg.__getitem__, chosen))
+        if bound <= best_twice:
+            continue
+        twice = sum(map(wdeg.__getitem__, order[:scanned]))
+        for x in order[scanned:]:
+            for u in adj[x]:
+                if u in chosen:
+                    twice += weight_of[x, u] if x < u else weight_of[u, x]
+        if twice > best_twice:
+            best, best_twice = chosen, twice
     return _make_solution(g, best, "wgreedy", k)
 
 

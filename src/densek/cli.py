@@ -290,6 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
         # this function in its refusal, "invalid integer value", exit 2.
         return _integers(text, [text])[0]
 
+    def probability(text: str) -> float:
+        # A probability option: float()'s syntax in ASCII, without the digit
+        # separator "_" that float() also reads; argparse names this function
+        # in its refusal, "invalid probability value", exit 2.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return float(text)
+
     parser = argparse.ArgumentParser(
         prog="densek",
         description="Find connected k-vertex subgraphs of high density.",
@@ -331,10 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=tuple(_FAMILIES))
     gen.add_argument("--ell", type=integer, default=None, help="family scale, >= 2")
     gen.add_argument("--n", type=integer, default=None)
-    gen.add_argument("--p", type=float, default=None)
+    gen.add_argument("--p", type=probability, default=None)
     gen.add_argument("--k", type=integer, default=None)
-    gen.add_argument("--p-in", type=float, default=None, dest="p_in")
-    gen.add_argument("--p-out", type=float, default=None, dest="p_out")
+    gen.add_argument("--p-in", type=probability, default=None, dest="p_in")
+    gen.add_argument("--p-out", type=probability, default=None, dest="p_out")
     gen.add_argument("--seed", type=integer, default=None)
     gen.add_argument("--out", required=True)
 

@@ -10,14 +10,17 @@ comparisons are exact rationals (`fractions.Fraction`); no float ever
 drives a decision.
 
 Every growth of a vertex set in the package to a vertex count, and every
-component, comes from one breadth-first search, `_bfs`, in one order: its
-queue starts as the seed sorted by id, and each vertex's neighbours are
-taken in ascending id. That order fixes which vertices expand_to_k,
-j_attachment, the hub scan and the weighted greedy add, and so the outputs
-of every solver. prc2 grows its seed until the seed's blocks cover k/2
-vertices, a weight `_bfs` does not count, by its own search in the same
-order. The one other walk, `_view_degrees`, checks a view and counts its
-degrees; it adds no vertex to anything, so its order fixes no output.
+component, runs in one breadth-first order: the queue starts as the seed
+sorted by id, and each vertex's neighbours are taken in ascending id. That
+order fixes which vertices are added, and so the outputs of every solver.
+`_bfs` is that search, for components, expand_to_k, j_attachment and the
+hub scan. Two searches of their own run in the same order. prc2 grows its
+seed until the seed's blocks cover k/2 vertices, a weight `_bfs` does not
+count. The weighted greedy grows each star to k vertices and scores the set
+as it grows it: a vertex whose neighbour list the search read to the end
+needs no membership checks, and `_bfs` does not say which those are. The
+one other walk, `_view_degrees`, checks a view and counts its degrees; it
+adds no vertex to anything, so its order fixes no output.
 """
 
 from __future__ import annotations

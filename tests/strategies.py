@@ -7,11 +7,13 @@ from densek.graph import Graph
 
 @st.composite
 def connected_graphs(
-    draw, min_n=2, max_n=10, weighted=False, max_w=5, max_extra=None
+    draw, min_n=2, max_n=10, weighted=False, max_w=5, max_extra=None, weights=None
 ):
     """Connected graph: random spanning tree plus a random extra edge set.
 
-    max_extra caps the extra edges; a small cap gives sparse graphs.
+    max_extra caps the extra edges; a small cap gives sparse graphs. A
+    weighted graph draws each edge's weight from weights, a strategy that
+    defaults to the integers 0..max_w.
     """
     n = draw(st.integers(min_n, max_n))
     edges = set()
@@ -32,7 +34,7 @@ def connected_graphs(
         return Graph(n, edge_list)
     ws = draw(
         st.lists(
-            st.integers(0, max_w),
+            st.integers(0, max_w) if weights is None else weights,
             min_size=len(edge_list),
             max_size=len(edge_list),
         )

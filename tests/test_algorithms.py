@@ -11,6 +11,7 @@ import densek.cli
 import densek.graph
 from densek import (
     Graph,
+    Xorshift64Star,
     alg1,
     alg3,
     alg4,
@@ -18,6 +19,7 @@ from densek import (
     best_connected_k_subgraph,
     brute_k,
     density,
+    example1b,
     format_edge_list,
     gnp,
     run_all_algorithms,
@@ -737,6 +739,40 @@ class TestWeightedGreedy:
         # weights 0..2: zero weights and ties on almost every draw
         k = data.draw(st.integers(1, g.n))
         assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
+
+    @pytest.mark.parametrize("ell", range(2, 8))
+    def test_ray_family_matches_reference_at_every_k(self, ell):
+        # ray edges weigh 0, so the weighted-degree bound skips the checks
+        # of most stars; a skip of a winner, or a tie handed to the later
+        # star, changes the answer
+        g = example1b(ell).graph
+        for k in range(1, g.n + 1):
+            assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
+
+    @given(connected_graphs(min_n=1, max_n=14, weighted=True,
+                            weights=st.sampled_from((0, 0, 0, 1, 40))), st.data())
+    def test_hypothesis_mostly_zero_weights_match_reference(self, g, data):
+        # a few heavy edges among zeros: the bound fires on most stars
+        k = data.draw(st.integers(1, g.n))
+        assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-k", "odd-k"])
+    @pytest.mark.parametrize("n", [60, 90, 120, 150])
+    def test_benchmark_shape_matches_reference(self, n, odd):
+        # gnp(n, 6/n) with weights 1..9 at k = n/10, the cli-weighted
+        # benchmark's shape: many members have their neighbour lists
+        # scanned to the end, and count their weighted degree unchecked
+        rng = Xorshift64Star(n)
+        plain = gnp(n, 6 / n, rng.next_u64())
+        g = Graph(plain.n, plain.edges, [1 + rng.next_below(9) for _ in plain.edges])
+        k = g.n // 10 - g.n // 10 % 2 + odd
+        assert weighted_greedy(g, k) == weighted_greedy_reference(g, k)
+
+    def test_search_that_runs_dry_is_an_error(self, monkeypatch):
+        # only a disconnected graph leaves a star short of k vertices
+        monkeypatch.setattr(densek.algorithms, "is_connected", lambda g, s=None: True)
+        with pytest.raises(RuntimeError, match="must reach k vertices"):
+            weighted_greedy(Graph(4, [(0, 1), (2, 3)], [1, 1]), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="out of range"):

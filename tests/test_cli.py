@@ -664,6 +664,33 @@ class TestGen:
             sidecar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
             assert sidecar["params"]["seed"] == 0
 
+    @pytest.mark.parametrize("text", ["0.5", "0.5_0", "\u0660.\u0665"],
+                             ids=["plain", "digit-separator", "arabic-indic"])
+    @pytest.mark.parametrize("argv, option, key", [
+        (["gnp", "--n", "10", "--p", "{v}"], "--p", "p"),
+        (["planted", "--n", "10", "--k", "4", "--p-in", "{v}", "--p-out", "0.1"],
+         "--p-in", "p_in"),
+        (["planted", "--n", "10", "--k", "4", "--p-in", "0.9", "--p-out", "{v}"],
+         "--p-out", "p_out"),
+    ], ids=["p", "p-in", "p-out"])
+    def test_probability_syntax(self, capsys, tmp_path, argv, option, key, text):
+        # float() reads all three texts as 0.5; a probability option takes
+        # them in ASCII without "_", and refuses the rest with a usage error
+        out = tmp_path / "g.edges"
+        argv = ["gen"] + [arg.format(v=text) for arg in argv] + ["--out", str(out)]
+        if text == "0.5":
+            assert main(argv) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            assert sidecar["params"][key] == 0.5
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: invalid probability value: {text!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_scale(self, tmp_path):
         out = tmp_path / "a.edges"
         assert main(["gen", "example1a", "--ell", "1", "--out", str(out)]) == 4

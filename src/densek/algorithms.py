@@ -396,15 +396,15 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     expand_to_k uses. The candidate with the most induced edges wins;
     ties keep the earliest hub. Per hub the work is local: its two-step
     neighbourhood outside H and the growth to k, never a whole-graph pass.
+    The scan reads Graph's neighbour tuples; its only per-call tables are
+    H, the vertices outside H, and their neighbour lists with H removed.
     """
     emit = trace
     _check_even_input(g, k)
     half = k // 2
     hubs = set(highest_degree_vertices(g, half))
     rest = [v for v in range(g.n) if v not in hubs]
-    adjacent = [set(g.neighbors(v)) for v in range(g.n)]
     free = [[u for u in g.neighbors(v) if u not in hubs] for v in range(g.n)]
-    everything = range(g.n)
     best = None
     best_weight = -1
     for hub in rest:
@@ -412,14 +412,14 @@ def alg5_hub(g: Graph, k: int) -> Solution:
         walks = Counter(chain.from_iterable(map(free.__getitem__, free[hub])))
         del walks[hub]
         partners = _top(walks, half - 1, walks.__getitem__)
-        near = _top(free[hub], half, lambda u: len(adjacent[u] & partners))
+        near = _top(free[hub], half, lambda u: len(partners.intersection(g.neighbors(u))))
         # The hub's component of its group. Near vertices touch the hub, so
         # all of them are in it; partners only through a path in the group.
         comp = _bfs(g, {hub}, {hub} | near | partners)
-        out = _bfs(g, comp, everything, k)
+        out = _bfs(g, comp, range(g.n), k)
         if emit is not None:
             emit("expand", seed=tuple(sorted(comp)), out=tuple(sorted(out)))
-        weight = sum(map(len, map(out.intersection, map(adjacent.__getitem__, out))))
+        weight = sum(map(len, map(out.intersection, map(g.neighbors, out))))
         if weight > best_weight:
             best, best_weight = out, weight
     return _make_solution(g, best, "hub", k)

@@ -253,10 +253,6 @@ def save_instance(
     return side
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_sidecar(path) -> tuple[str, int | None, Fraction | None] | None:
     """(family, k, known optimum) from the sidecar that save_instance wrote
     next to path; None when there is none. The one reader of the format:
@@ -274,8 +270,8 @@ def load_sidecar(path) -> tuple[str, int | None, Fraction | None] | None:
     if isinstance(meta, dict):
         family, k = meta.get("family", ""), meta.get("k")
         num, den = meta.get("known_opt_num"), meta.get("known_opt_den")
-        if isinstance(family, str) and (k is None or _is_int(k)) and (
-            num is None and den is None or _is_int(num) and _is_int(den) and den > 0
+        if isinstance(family, str) and (k is None or type(k) is int) and (
+            num is None and den is None or type(num) is type(den) is int and den > 0
         ):
             return family, k, None if num is None else Fraction(num, den)
     raise ValueError(

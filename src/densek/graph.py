@@ -13,14 +13,15 @@ Every growth of a vertex set in the package to a vertex count, and every
 component, runs in one breadth-first order: the queue starts as the seed
 sorted by id, and each vertex's neighbours are taken in ascending id. That
 order fixes which vertices are added, and so the outputs of every solver.
-`_bfs` is that search, for components, expand_to_k, j_attachment and the
-hub scan. Two searches of their own run in the same order. prc2 grows its
-seed until the seed's blocks cover k/2 vertices, a weight `_bfs` does not
-count. The weighted greedy grows each star to k vertices and scores the set
-as it grows it: a vertex whose neighbour list the search read to the end
-needs no membership checks, and `_bfs` does not say which those are. The
-one other walk, `_view_degrees`, checks a view and counts its degrees; it
-adds no vertex to anything, so its order fixes no output.
+`_bfs` is that search, for components, is_connected, expand_to_k,
+j_attachment, prc1's half-sized seed and the hub scan. Two searches of
+their own run in the same order. prc2 grows its seed until the seed's
+blocks cover k/2 vertices, a weight `_bfs` does not count. The weighted
+greedy grows each star to k vertices and scores the set as it grows it: a
+vertex whose neighbour list the search read to the end needs no membership
+checks, and `_bfs` does not say which those are. The one other walk,
+`_view_degrees`, checks a view and counts its degrees; it adds no vertex
+to anything, so its order fixes no output.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class Graph:
     Edges are normalized to (u, v) with u < v and stored sorted. Adjacency
     lists are sorted tuples, which fixes every traversal order in the
     package (BFS visits neighbors in ascending id). The first invalid edge
-    in input order raises EdgeError, a ValueError with its 0-based position.
+    in input order, a non-pair included, raises EdgeError, a ValueError with
+    its 0-based position; weights, when given, take one per edge.
     """
 
     __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_connected")
@@ -70,12 +72,21 @@ class Graph:
         if weights is None:
             pairs = zip(edges, repeat(1))
         else:
-            pairs = zip(edges, weights, strict=True)  # one weight per edge
+            edges, weights = list(edges), list(weights)
+            if len(weights) != len(edges):
+                raise ValueError(f"{len(weights)} weights for {len(edges)} "
+                                 "edges; one weight per edge is needed")
+            pairs = zip(edges, weights)
         # The one validation of every edge, in input order; the dict it
         # normalizes into catches duplicates. Every earlier edge is in the
         # dict, so its size is the position of the edge at hand.
         weight_of: dict[tuple[int, int], int] = {}
-        for (u, v), w in pairs:
+        for edge, w in pairs:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                fault = f"{edge!r} is not a pair of vertex ids"
+                raise EdgeError(len(weight_of), fault) from None
             # Ids and weights are plain ints: a bool or a float passes the
             # range tests, but format_edge_list would write it as no integer.
             if not type(u) is type(v) is int:

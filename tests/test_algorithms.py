@@ -685,6 +685,19 @@ class TestHub:
         assert sol == alg5_hub_reference(g, k, ref_log)
         assert expand_log(events) == ref_log
 
+    @pytest.mark.parametrize("fraction", [10, 5], ids=["k-n/10", "k-n/5"])
+    @pytest.mark.parametrize("n", [100, 150, 200, 250])
+    def test_benchmark_shape_matches_whole_graph_reference(self, n, fraction):
+        # gnp(n, 8/n), the auto-gnp benchmark's shape, at graph sizes the
+        # hypothesis graphs do not reach
+        g = gnp(n, 8 / n, n)
+        k = n // fraction - n // fraction % 2
+        ref_log = []
+        with recording() as events:
+            sol = alg5_hub(g, k)
+        assert sol == alg5_hub_reference(g, k, ref_log)
+        assert expand_log(events) == ref_log
+
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             alg5_hub(cycle(6), 5)

@@ -845,7 +845,11 @@ class TestBench:
         '{"k": 4, "known_opt_num": 3}',
         "[4]",
         '{"k": 4, "known_opt_num": 3, "known_opt_den": 0}',
-    ], ids=["no-denominator", "not-an-object", "zero-denominator"])
+        '{"k": true}',
+        '{"k": 4.0}',
+        '{"known_opt_num": 3, "known_opt_den": true}',
+    ], ids=["no-denominator", "not-an-object", "zero-denominator",
+            "bool-k", "float-k", "bool-denominator"])
     def test_sidecar_of_the_wrong_shape_keeps_its_row(self, capsys, tmp_path, sidecar):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -132,6 +132,38 @@ class TestGraphBasics:
             Graph(3, edges, weights)
         assert err.value.index == index
 
+    @pytest.mark.parametrize("edges, index", [
+        ([(0, 1, 2)], 0),
+        ([0], 0),
+        ([(0, 1), (2,)], 1),
+        ([(0, 1), None], 1),
+    ], ids=["triple", "int", "single", "none"])
+    def test_an_edge_that_is_no_pair_carries_its_position(self, edges, index):
+        with pytest.raises(EdgeError, match="is not a pair of vertex ids") as err:
+            Graph(3, edges)
+        assert err.value.index == index
+
+    @pytest.mark.parametrize("weights", [[5], [5, 6, 7], []],
+                             ids=["too-few", "too-many", "none"])
+    def test_weights_take_one_per_edge(self, weights):
+        with pytest.raises(ValueError, match="one weight per edge is needed"):
+            Graph(3, [(0, 1), (1, 2)], weights)
+
+    def test_equal_graphs_hash_equal(self):
+        a, b = path(3), Graph(3, [(1, 2), (0, 1)])
+        assert hash(a) == hash(b)
+        assert {a, b} == {a}
+        assert {a: "path"}[b] == "path"
+        assert Graph(2, [(0, 1)], [3]) not in {Graph(2, [(0, 1)])}
+
+    def test_a_graph_equals_no_other_type(self):
+        assert (Graph(2, [(0, 1)]) == "x") is False
+        assert Graph(2, [(0, 1)]) != (2, ((0, 1),), None)
+
+    def test_repr(self):
+        assert repr(path(3)) == "Graph(n=3, m=2)"
+        assert repr(Graph(3, [(1, 2), (0, 1)], [7, 2])) == "Graph(n=3, m=2, weighted)"
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], [-1])

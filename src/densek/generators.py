@@ -45,6 +45,27 @@ class Xorshift64Star:
         """True with probability p: compares the top 53 bits to floor(p * 2^53)."""
         return (self.next_u64() >> 11) < int(p * (1 << 53))
 
+    def _successes(self, p: float, count: int) -> list[int]:
+        """The positions i < count at which bernoulli(p) would say True.
+
+        Takes exactly count draws and leaves the state count calls of
+        bernoulli(p) would, but runs next_u64's update inline on a local
+        and compares the whole output with floor(p * 2^53) * 2^11, computed
+        once, which is the same test as the top 53 bits against floor(p *
+        2^53). The generators draw every vertex pair through it.
+        """
+        limit = int(p * (1 << 53)) << 11
+        x = self.state
+        hits = []
+        for i in range(count):
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK
+            x ^= x >> 27
+            if x * 0x2545F4914F6CDD1D & _MASK < limit:
+                hits.append(i)
+        self.state = x
+        return hits
+
     def next_below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")
@@ -151,25 +172,34 @@ def example1b(ell: int) -> GapInstance:
     )
 
 
+def _require_ints(**values) -> None:
+    """ValueError naming the first value that is not a plain int (a bool is
+    not), Graph's rule for its vertex count."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) draw; a disconnected draw is truncated to its largest component.
 
-    Pairs are sampled in lexicographic order from one xorshift64* stream, so
-    (n, p, seed) pins the instance. Truncation relabels vertices densely,
-    preserving relative order; callers can detect it by the shrunken n.
-    Raises if the result has no edges.
+    One xorshift64* stream from seed draws once for each pair u < v, in
+    lexicographic order, and the pair is an edge when the top 53 bits of
+    its draw are below floor(p * 2^53): n(n-1)/2 draws, so (n, p, seed)
+    pins the instance. Truncation relabels vertices densely, preserving
+    relative order; callers can detect it by the shrunken n. Raises if n or
+    seed is not an int, before any draw, or if the result has no edges.
     """
+    _require_ints(n=n, seed=seed)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = Xorshift64Star(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.bernoulli(p)
-    ]
+    edges = []
+    for u in range(n):
+        first = u + 1
+        edges += [(u, first + i) for i in rng._successes(p, n - first)]
     if not edges:
         raise ValueError("generated graph has no edges")
     graph = Graph(n, edges)
@@ -187,11 +217,15 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 def planted(n: int, k: int, p_in: float, p_out: float, seed: int) -> GapInstance:
     """G(n, p_out) background with a G(k, p_in) block on vertices 0..k-1.
 
-    The block's density is recorded as a certified lower bound on the best
-    k-subgraph density (not claimed optimal). A disconnected draw is made
-    connected by chaining one edge between component representatives, which
-    cannot invalidate the bound.
+    Draws as gnp does, once for each pair u < v in lexicographic order from
+    one xorshift64* stream (n(n-1)/2 draws), with p_in exactly when v < k
+    and p_out otherwise. The block's density is recorded as a certified
+    lower bound on the best k-subgraph density (not claimed optimal). A
+    disconnected draw is made connected by chaining one edge between
+    component representatives, which cannot invalidate the bound. Raises
+    if n, k or seed is not an int, before any draw.
     """
+    _require_ints(n=n, k=k, seed=seed)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     for p in (p_in, p_out):
@@ -200,10 +234,10 @@ def planted(n: int, k: int, p_in: float, p_out: float, seed: int) -> GapInstance
     rng = Xorshift64Star(seed)
     edges = []
     for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if v < k else p_out
-            if rng.bernoulli(p):
-                edges.append((u, v))
+        first = u + 1
+        split = max(first, k)  # the first v drawn with p_out
+        edges += [(u, first + i) for i in rng._successes(p_in, split - first)]
+        edges += [(u, split + i) for i in rng._successes(p_out, n - split)]
     graph = Graph(n, edges)
     comps = components(graph)
     if len(comps) > 1:

@@ -175,6 +175,35 @@ def connected_corpus(count, max_n, seed0, min_n=5):
     return out
 
 
+def gnp_reference(n, p, seed):
+    """gnp as one bernoulli call per pair, the loop the batch draw replaced.
+    Expects valid input; returns the same Graph gnp does."""
+    rng = Xorshift64Star(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.bernoulli(p)]
+    graph = Graph(n, edges)
+    keep = max(components(graph), key=len)
+    if len(keep) == n:
+        return graph
+    relabel = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [
+        (relabel[u], relabel[v]) for u, v in edges if u in relabel and v in relabel
+    ])
+
+
+def planted_reference(n, k, p_in, p_out, seed):
+    """planted's graph as one bernoulli call per pair, with p_in exactly
+    when v < k. Expects valid input."""
+    rng = Xorshift64Star(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.bernoulli(p_in if v < k else p_out):
+                edges.append((u, v))
+    comps = components(Graph(n, edges))
+    edges += [(left[0], right[0]) for left, right in zip(comps, comps[1:])]
+    return Graph(n, edges)
+
+
 def weighted_version(g, seed, max_w=5):
     """Same edges as g with deterministic weights in 0..max_w."""
     rng = Xorshift64Star(seed)

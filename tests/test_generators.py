@@ -1,9 +1,13 @@
 """Instance families: shapes, stored optima, determinism, persistence."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import densek.generators
 from densek import (
     Xorshift64Star,
     brute_k,
@@ -17,6 +21,8 @@ from densek import (
     save_instance,
 )
 from densek.graph import is_connected
+
+from helpers import gnp_reference, planted_reference
 
 
 class TestPrng:
@@ -51,6 +57,74 @@ class TestPrng:
         assert all(0 <= d < 10 for d in draws)
         with pytest.raises(ValueError):
             rng.next_below(0)
+
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0**-60, 2.0**-53, 1 - 2.0**-53]),
+            st.floats(0.0, 1.0),
+        ),
+        st.integers(0, 300),
+        st.one_of(
+            st.just(0),
+            st.integers(0, 2**64 - 1),
+            st.integers(2**64, 2**70),
+            st.integers(-(2**70), -1),
+        ),
+    )
+    def test_batch_draw_matches_one_bernoulli_per_draw(self, p, count, seed):
+        # the batch loop inlines next_u64's update: the same positions, and
+        # the same state after exactly count draws
+        batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
+        hits = batch._successes(p, count)
+        assert hits == [i for i in range(count) if single.bernoulli(p)]
+        assert batch.state == single.state
+        assert batch.next_u64() == single.next_u64()
+
+    def test_a_draw_at_the_limit_fails(self):
+        # seed 2730's first output has its low 11 bits zero: at this p its
+        # top 53 bits equal floor(p * 2^53), and the whole output equals the
+        # batch draw's limit, so both forms say no; one step up, both yes
+        out = Xorshift64Star(2730).next_u64()
+        assert out % 2048 == 0
+        for p, passes in ((out / 2**64, False), ((out + 2048) / 2**64, True)):
+            assert Xorshift64Star(2730).bernoulli(p) is passes
+            assert Xorshift64Star(2730)._successes(p, 1) == ([0] if passes else [])
+
+
+def edges_sha256(g):
+    return hashlib.sha256(repr(g.edges).encode()).hexdigest()
+
+
+class TestPinnedDraws:
+    """Generator output at the benchmark workloads' shapes, pinned by n, m
+    and the sha256 of repr(edges): the corpora and every stored instance
+    depend on these draws, on every platform and Python version."""
+
+    @pytest.mark.parametrize("n, c, seed, want_n, want_m, digest", [
+        (250, 8, 1, 250, 994,
+         "10ed9f6d4b426188e918bf258ddeb0c4f16398ce36c222251d2c69dc9207682c"),
+        (250, 8, 7, 250, 975,
+         "7c78a772fede9a92635c8397b555bd5f4ab9b414063cc0d68cf985999cc9cda5"),
+        (700, 3, 1, 654, 1043,
+         "1cd4d448675958e6a2956dff89447ebb7ec78bdddd2b75bf81a50d252736982e"),
+        (700, 3, 7, 663, 1042,
+         "eb9bb53f8a3382a83f2717cfb91f2f4dd684003c9d1781459f0726bf16cf2c59"),
+        (600, 6, 1, 597, 1785,
+         "b6d846c0df5c229d316de060b2d19cf01eb5056f93f88350fd2020def7171691"),
+        (600, 6, 7, 600, 1748,
+         "31c1ead47c72b873f978cafa207ba63e95042fddd7ad3e26753dd1695707e0b1"),
+    ])
+    def test_gnp(self, n, c, seed, want_n, want_m, digest):
+        g = gnp(n, c / n, seed)
+        assert (g.n, g.m, edges_sha256(g)) == (want_n, want_m, digest)
+
+    @pytest.mark.parametrize("seed, want_m, digest", [
+        (1, 309, "85ec73f5a78d975fd616d6c37c97b69243f752774cfc8e700afa7ff1ae000635"),
+        (7, 296, "de10a3fe5f0cb63d6359ec365ae32fc1214ce643ac29c9b4c85eaf4552f99983"),
+    ])
+    def test_planted(self, seed, want_m, digest):
+        g = planted(120, 12, 0.5, 0.04, seed).graph
+        assert (g.n, g.m, edges_sha256(g)) == (120, want_m, digest)
 
 
 class TestCliquesJoinedByPaths:
@@ -164,6 +238,31 @@ class TestGnp:
         with pytest.raises(ValueError, match=error):
             gnp(n, p, seed=1)
 
+    @pytest.mark.parametrize("n, seed, name", [
+        (10.0, 1, "n"),
+        (True, 1, "n"),
+        (10, 1.0, "seed"),
+        (10, False, "seed"),
+    ])
+    def test_rejects_a_size_or_seed_that_is_not_an_int(
+        self, monkeypatch, n, seed, name
+    ):
+        # refused before the stream is even made
+        monkeypatch.setattr(densek.generators, "Xorshift64Star", None)
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            gnp(n, 0.5, seed)
+
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 1.0])
+    def test_matches_the_per_pair_reference(self, p):
+        for n in range(1, 13):
+            for seed in (0, 3, 2**64 + 3):
+                want = gnp_reference(n, p, seed)
+                if want.m == 0:
+                    with pytest.raises(ValueError, match="no edges"):
+                        gnp(n, p, seed)
+                else:
+                    assert gnp(n, p, seed) == want
+
 
 class TestPlanted:
     def test_block_is_the_first_k_vertices(self):
@@ -188,6 +287,29 @@ class TestPlanted:
     def test_rejects_bad_parameters(self, n, k, p_in, p_out, error):
         with pytest.raises(ValueError, match=error):
             planted(n, k, p_in, p_out, seed=1)
+
+    @pytest.mark.parametrize("n, k, seed, name", [
+        (10.0, 3, 1, "n"),
+        (10, 3.0, 1, "k"),
+        (10, True, 1, "k"),
+        (10, 3, 1.0, "seed"),
+    ])
+    def test_rejects_a_size_or_seed_that_is_not_an_int(
+        self, monkeypatch, n, k, seed, name
+    ):
+        # refused before the stream is even made, not after n(n-1)/2 draws
+        monkeypatch.setattr(densek.generators, "Xorshift64Star", None)
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            planted(n, k, 0.5, 0.1, seed)
+
+    @pytest.mark.parametrize("p_in, p_out", [(0.9, 0.1), (0.0, 1.0), (1.0, 0.0)])
+    def test_matches_the_per_pair_reference(self, p_in, p_out):
+        # every k from 1 to n, so rows with u >= k and k = n are both drawn
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                for seed in (0, 5):
+                    got = planted(n, k, p_in, p_out, seed).graph
+                    assert got == planted_reference(n, k, p_in, p_out, seed)
 
     def test_known_density_is_a_reachable_lower_bound(self):
         instance = planted(12, 4, 1.0, 0.2, seed=9)

@@ -9,14 +9,80 @@ vertices out in a documented order.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Any
 
 from .graph import Graph, _integers, components, density, save_edge_list
 
 _MASK = (1 << 64) - 1
+_MUL = 0x2545F4914F6CDD1D
+
+# _successes packs its lanes 16 bytes apart, at most _MAX_LANES of them: a
+# packed int of 64 KiB at most. A lane draws between _MIN_STRIDE and
+# _MAX_STRIDE times a block; a power of two, so that each lane's start is one
+# cached power of the update away from another's.
+_MAX_LANES = 4096
+_MIN_STRIDE = 64
+_MAX_STRIDE = 1024
+_SLOT_ONE = (1).to_bytes(16, "little")
+
+
+def _update(x: int) -> int:
+    """The xorshift64* state update: linear over GF(2) in the 64 bits."""
+    x ^= x >> 12
+    x ^= x << 25 & _MASK
+    return x ^ x >> 27
+
+
+# _POWERS[i] is the update applied 2^i times, as the images of the 64 unit
+# vectors: each entry squares the one before, once per process.
+_POWERS = [[_update(1 << b) for b in range(64)]]
+
+
+def _apply(columns: list[int], packed: int, ones: int) -> int:
+    """The linear map with these 64 columns applied to each lane of packed.
+
+    ones holds a 1 at the bottom of each 128-bit lane: bit b of every lane
+    picks out column b there at once, and a lane of 64 bits times a column
+    of 64 stays inside its lane.
+    """
+    out = 0
+    for b, column in enumerate(columns):
+        out ^= (packed >> b & ones) * column
+    return out
+
+
+def _power(i: int) -> list[int]:
+    while len(_POWERS) <= i:
+        last = _POWERS[-1]
+        _POWERS.append([_apply(last, column, 1) for column in last])
+    return _POWERS[i]
+
+
+def _jump(packed: int, steps: int, ones: int = 1) -> int:
+    """Each lane of packed (one plain state by default) as `steps` updates
+    would leave it: one cached power of the update per set bit of steps."""
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            packed = _apply(_power(i), packed, ones)
+    return packed
+
+
+def _spread(state: int, stride: int, lanes: int) -> int:
+    """lanes 128-bit lanes, lane j holding state moved j * stride updates on;
+    each round copies the lanes so far, moved on by their own span."""
+    packed, have = state, 1
+    while have < lanes:
+        take = min(have, lanes - have)
+        ones = int.from_bytes(_SLOT_ONE * take, "little")
+        low = packed & ((1 << 128 * take) - 1)
+        packed |= _jump(low, stride * have, ones) << 128 * have
+        have += take
+    return packed
 
 
 class Xorshift64Star:
@@ -26,6 +92,11 @@ class Xorshift64Star:
         x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27
     and each step outputs x * 0x2545F4914F6CDD1D (mod 2^64). A zero seed is
     replaced by 0x9E3779B97F4A7C15 so the state never sticks at zero.
+
+    The update is linear over GF(2), so t updates are one 64x64 bit matrix,
+    and t = 2^i of them the i-th square of the one-update matrix, kept per
+    process. _successes jumps ahead with them to run many stretches of the
+    one stream side by side.
     """
 
     __slots__ = ("state",)
@@ -46,24 +117,63 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) < int(p * (1 << 53))
 
     def _successes(self, p: float, count: int) -> list[int]:
-        """The positions i < count at which bernoulli(p) would say True.
+        """The positions i < count, ascending, at which bernoulli(p) would
+        say True.
 
         Takes exactly count draws and leaves the state count calls of
-        bernoulli(p) would, but runs next_u64's update inline on a local
-        and compares the whole output with floor(p * 2^53) * 2^11, computed
-        once, which is the same test as the top 53 bits against floor(p *
-        2^53). The generators draw every vertex pair through it.
+        bernoulli(p) would. A draw passes when its whole output is below
+        floor(p * 2^53) * 2^11, the same test as the top 53 bits against
+        floor(p * 2^53); the limit is clamped to [0, 2^64], which changes
+        no outcome. The generators draw every vertex pair through it.
+
+        The draws run in blocks of up to _MAX_LANES lanes, each a 128-bit
+        slot of one int. Lane j of a block starts where the stream stands
+        after j * stride of the block's draws, reached by jump-ahead, so
+        the draw at step s of lane j is position j * stride + s. A step
+        moves every lane on by three masked shift-xors, multiplies (a
+        64-bit lane times the 64-bit constant fills its slot), masks the
+        outputs to 64 bits and subtracts them from 2^64 + limit - 1 in each
+        lane: bit 64 of a lane is then set exactly when its output is below
+        the limit. Byte 8 of each 16-byte slot holds that bit, read for all
+        lanes by one to_bytes and slice. The top lane's state at its last
+        draw is the block's end state, where the next block starts.
         """
-        limit = int(p * (1 << 53)) << 11
-        x = self.state
+        limit = min(max(int(p * (1 << 53)) << 11, 0), 1 << 64)
+        # the least power of two that fits count into _MAX_LANES lanes
+        fit = 1 << (-(-count // _MAX_LANES) - 1).bit_length()
+        stride = min(_MAX_STRIDE, max(_MIN_STRIDE, fit))
+        block = stride * _MAX_LANES
+        sparse = limit < 1 << 61  # below one hit in eight draws
+        state = self.state
         hits = []
-        for i in range(count):
-            x ^= x >> 12
-            x ^= (x << 25) & _MASK
-            x ^= x >> 27
-            if x * 0x2545F4914F6CDD1D & _MASK < limit:
-                hits.append(i)
-        self.state = x
+        for start in range(0, count, block):
+            end = min(count, start + block)
+            lanes = -(-(end - start) // stride)
+            top = 128 * (lanes - 1)
+            last = end - start - (lanes - 1) * stride - 1  # the top lane's last step
+            ones = int.from_bytes(_SLOT_ONE * lanes, "little")
+            low, cut = ones * _MASK, ones * (_MASK + limit)
+            size = width = 16 * lanes
+            x = _spread(state, stride, lanes)
+            for s in range(min(stride, end - start)):
+                x ^= x >> 12 & low
+                x ^= x << 25 & low
+                x ^= x >> 27 & low
+                flags = (cut - (x * _MUL & low)).to_bytes(size, "little")[8:width:16]
+                if sparse:
+                    # a find per hit beats compress, which makes every
+                    # lane's position whether it hit or not
+                    j = flags.find(1)
+                    while j >= 0:
+                        hits.append(start + s + j * stride)
+                        j = flags.find(1, j + 1)
+                else:
+                    hits += compress(range(start + s, end, stride), flags)
+                if s == last:
+                    state = x >> top
+                    width -= 16  # the top lane is done
+        self.state = state
+        hits.sort()  # each block's hits come step by step, not lane by lane
         return hits
 
     def next_below(self, bound: int) -> int:
@@ -110,6 +220,7 @@ def example1a(ell: int) -> GapInstance:
     lowest id. The densest k-subgraph gap between unconstrained (clique
     union) and connected solutions grows like ell/3.
     """
+    _require_ints(ell=ell)
     if ell < 2:
         raise ValueError("ell must be at least 2")
     edges = []
@@ -151,6 +262,7 @@ def example1b(ell: int) -> GapInstance:
     pendant edge (weighted density 1/ell). Center is vertex 0; ray i runs
     through ids [1 + i*ell, 1 + (i+1)*ell).
     """
+    _require_ints(ell=ell)
     if ell < 2:
         raise ValueError("ell must be at least 2")
     edges = []
@@ -180,6 +292,19 @@ def _require_ints(**values) -> None:
             raise ValueError(f"{name} must be an int, not {value!r}")
 
 
+def _pairs(n: int, hits: list[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v) at ascending positions hits of the stream of pairs
+    u < v < n in lexicographic order."""
+    edges = []
+    lo = start = 0
+    for u in range(n - 1):
+        stop = start + n - 1 - u
+        hi = bisect_left(hits, stop, lo)
+        edges += zip(repeat(u), map((u + 1 - start).__add__, hits[lo:hi]))
+        lo, start = hi, stop
+    return edges
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) draw; a disconnected draw is truncated to its largest component.
 
@@ -195,11 +320,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = Xorshift64Star(seed)
-    edges = []
-    for u in range(n):
-        first = u + 1
-        edges += [(u, first + i) for i in rng._successes(p, n - first)]
+    edges = _pairs(n, Xorshift64Star(seed)._successes(p, n * (n - 1) // 2))
     if not edges:
         raise ValueError("generated graph has no edges")
     graph = Graph(n, edges)
@@ -231,13 +352,12 @@ def planted(n: int, k: int, p_in: float, p_out: float, seed: int) -> GapInstance
     for p in (p_in, p_out):
         if not 0.0 <= p <= 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-    rng = Xorshift64Star(seed)
-    edges = []
-    for u in range(n):
-        first = u + 1
-        split = max(first, k)  # the first v drawn with p_out
-        edges += [(u, first + i) for i in rng._successes(p_in, split - first)]
-        edges += [(u, split + i) for i in rng._successes(p_out, n - split)]
+    # One stream read twice, at p_in up to the last pair inside the block
+    # and at p_out throughout; each pair keeps the outcome at its own p.
+    head = (k - 1) * (2 * n - k) // 2  # the pairs in rows 0..k-2
+    inner = _pairs(n, Xorshift64Star(seed)._successes(p_in, head))
+    outer = _pairs(n, Xorshift64Star(seed)._successes(p_out, n * (n - 1) // 2))
+    edges = [(u, v) for u, v in inner if v < k] + [(u, v) for u, v in outer if v >= k]
     graph = Graph(n, edges)
     comps = components(graph)
     if len(comps) > 1:

@@ -72,13 +72,49 @@ class TestPrng:
         ),
     )
     def test_batch_draw_matches_one_bernoulli_per_draw(self, p, count, seed):
-        # the batch loop inlines next_u64's update: the same positions, and
-        # the same state after exactly count draws
-        batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
-        hits = batch._successes(p, count)
-        assert hits == [i for i in range(count) if single.bernoulli(p)]
-        assert batch.state == single.state
-        assert batch.next_u64() == single.next_u64()
+        assert_batch_matches(p, count, seed)
+
+    @pytest.mark.parametrize("p", [3 / 1150, 0.5])
+    def test_batch_draw_matches_at_lane_and_block_edges(self, p):
+        # counts around each power of two cross the stride and lane-count
+        # steps of the packed kernel; 100,003 runs thousands of lanes
+        counts = [c for s in range(18) for c in (2**s - 1, 2**s, 2**s + 1)]
+        for count in counts + [100_003]:
+            assert_batch_matches(p, count, 3)
+
+    @pytest.mark.parametrize("p", [3 / 1150, 0.5])
+    def test_batch_draw_runs_block_after_block(self, monkeypatch, p):
+        # three lanes a block: longer streams split into blocks of 3 * 1024
+        # draws, the last one short; 257 draws take lanes of 128, 128 and 1
+        monkeypatch.setattr(densek.generators, "_MAX_LANES", 3)
+        for count in (257, 3 * 1024, 3 * 1024 + 1, 10_000):
+            assert_batch_matches(p, count, 11)
+
+    @pytest.mark.parametrize("p", [
+        0.0, 1.0, 2.0**-53, 1 - 2.0**-53, 0.5, 3 / 1150, -0.5, 1.5, 1e200,
+    ])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, -12345])
+    def test_batch_draw_matches_at_every_probability(self, p, seed):
+        # below 0 every draw misses and above 1 every draw hits, as for
+        # bernoulli, whose comparison has no clamp
+        for count in (1, 1000, 20_000):
+            assert_batch_matches(p, count, seed)
+
+    @pytest.mark.parametrize("steps", [
+        0, 1, 2, 3, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 1000, 12345,
+    ])
+    def test_jump_equals_stepping_the_update(self, steps):
+        rng = Xorshift64Star(99)
+        start = rng.state
+        for _ in range(steps):
+            rng.next_u64()
+        assert densek.generators._jump(start, steps) == rng.state
+        # two lanes in one packed int move on independently
+        other = Xorshift64Star(7).state
+        ones = 1 | 1 << 128
+        packed = densek.generators._jump(start | other << 128, steps, ones)
+        assert packed >> 128 == densek.generators._jump(other, steps)
+        assert packed & (1 << 128) - 1 == rng.state
 
     def test_a_draw_at_the_limit_fails(self):
         # seed 2730's first output has its low 11 bits zero: at this p its
@@ -89,6 +125,16 @@ class TestPrng:
         for p, passes in ((out / 2**64, False), ((out + 2048) / 2**64, True)):
             assert Xorshift64Star(2730).bernoulli(p) is passes
             assert Xorshift64Star(2730)._successes(p, 1) == ([0] if passes else [])
+
+
+def assert_batch_matches(p, count, seed):
+    """_successes against one bernoulli per draw: the same positions, the
+    same state after exactly count draws and the same next output."""
+    batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
+    hits = batch._successes(p, count)
+    assert hits == [i for i in range(count) if single.bernoulli(p)]
+    assert batch.state == single.state
+    assert batch.next_u64() == single.next_u64()
 
 
 def edges_sha256(g):
@@ -113,6 +159,14 @@ class TestPinnedDraws:
          "b6d846c0df5c229d316de060b2d19cf01eb5056f93f88350fd2020def7171691"),
         (600, 6, 7, 600, 1748,
          "31c1ead47c72b873f978cafa207ba63e95042fddd7ad3e26753dd1695707e0b1"),
+        # peel-sparse's largest shape
+        (1150, 3, 1, 1107, 1841,
+         "abb45b6039ea61499442b5452427415b4c3f8359e2e5083871c4b739324fe0a0"),
+        (1150, 3, 7, 1092, 1762,
+         "2ec16f173d800f592c7c6d84eed063192fb03333faf28a492d8fa61127984a32"),
+        # half the draws hit
+        (300, 150, 1, 300, 22452,
+         "1d0cb6ac12d8371f33d49319353ac563149ae5c73d4238ec0ed67dc9cb42081b"),
     ])
     def test_gnp(self, n, c, seed, want_n, want_m, digest):
         g = gnp(n, c / n, seed)
@@ -125,6 +179,15 @@ class TestPinnedDraws:
     def test_planted(self, seed, want_m, digest):
         g = planted(120, 12, 0.5, 0.04, seed).graph
         assert (g.n, g.m, edges_sha256(g)) == (120, want_m, digest)
+
+    @pytest.mark.parametrize("seed, want_m, digest", [
+        (1, 1150, "4a6959c477db9adcf04f6bdf464e47eca8d2f6ef24c452c5285e563a4f288ce6"),
+        (7, 1162, "47c059815dd75b1038bdd8a63da8541dea0dd94368c842569c01a8112e150b8f"),
+    ])
+    def test_planted_with_the_block_near_n(self, seed, want_m, digest):
+        # k near n: most pairs lie in rows u < k, where p_in and p_out mix
+        g = planted(60, 50, 0.9, 0.1, seed).graph
+        assert (g.n, g.m, edges_sha256(g)) == (60, want_m, digest)
 
 
 class TestCliquesJoinedByPaths:
@@ -169,6 +232,11 @@ class TestCliquesJoinedByPaths:
         with pytest.raises(ValueError):
             example1a(1)
 
+    @pytest.mark.parametrize("ell", [3.0, "3", True])
+    def test_rejects_a_scale_that_is_not_an_int(self, ell):
+        with pytest.raises(ValueError, match="^ell must be an int"):
+            example1a(ell)
+
 
 class TestWeightedRays:
     def test_shape(self):
@@ -206,6 +274,11 @@ class TestWeightedRays:
     def test_rejects_tiny_scale(self):
         with pytest.raises(ValueError):
             example1b(1)
+
+    @pytest.mark.parametrize("ell", [3.0, "3", True])
+    def test_rejects_a_scale_that_is_not_an_int(self, ell):
+        with pytest.raises(ValueError, match="^ell must be an int"):
+            example1b(ell)
 
 
 class TestGnp:

@@ -266,8 +266,9 @@ def cmd_bench(args) -> int:
                                  "algorithm": name.upper(), "k": k, "n": g.n, "m": g.m,
                                  "status": str(exc)})
                     continue
+                # the sidecar's optimum holds at the sidecar's own k alone
                 ratio = None
-                if known_opt is not None and sol.density > 0:
+                if known_opt is not None and k == sidecar_k and sol.density > 0:
                     ratio = _decimal(known_opt / sol.density)
                 rows.append({"instance": path.name, "family": family,
                              **_solution_row(sol, g, elapsed_ms),

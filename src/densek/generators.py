@@ -21,13 +21,7 @@ from .graph import Graph, _integers, components, density, save_edge_list
 _MASK = (1 << 64) - 1
 _MUL = 0x2545F4914F6CDD1D
 
-# _successes packs its lanes 16 bytes apart, at most _MAX_LANES of them: a
-# packed int of 64 KiB at most. A lane draws between _MIN_STRIDE and
-# _MAX_STRIDE times a block; a power of two, so that each lane's start is one
-# cached power of the update away from another's.
-_MAX_LANES = 4096
-_MIN_STRIDE = 64
-_MAX_STRIDE = 1024
+# a 1 at the bottom of a 128-bit lane: _successes packs its lanes 16 bytes apart
 _SLOT_ONE = (1).to_bytes(16, "little")
 
 
@@ -63,25 +57,19 @@ def _power(i: int) -> list[int]:
     return _POWERS[i]
 
 
-def _jump(packed: int, steps: int, ones: int = 1) -> int:
-    """Each lane of packed (one plain state by default) as `steps` updates
-    would leave it: one cached power of the update per set bit of steps."""
-    for i in range(steps.bit_length()):
-        if steps >> i & 1:
-            packed = _apply(_power(i), packed, ones)
-    return packed
-
-
 def _spread(state: int, stride: int, lanes: int) -> int:
     """lanes 128-bit lanes, lane j holding state moved j * stride updates on;
-    each round copies the lanes so far, moved on by their own span."""
+    each round copies the lanes so far, moved on by their own span, which
+    for a power-of-two stride is one cached power of the update."""
     packed, have = state, 1
+    i = stride.bit_length() - 1  # stride * have == 2^i
     while have < lanes:
         take = min(have, lanes - have)
         ones = int.from_bytes(_SLOT_ONE * take, "little")
         low = packed & ((1 << 128 * take) - 1)
-        packed |= _jump(low, stride * have, ones) << 128 * have
+        packed |= _apply(_power(i), low, ones) << 128 * have
         have += take
+        i += 1
     return packed
 
 
@@ -95,8 +83,8 @@ class Xorshift64Star:
 
     The update is linear over GF(2), so t updates are one 64x64 bit matrix,
     and t = 2^i of them the i-th square of the one-update matrix, kept per
-    process. _successes jumps ahead with them to run many stretches of the
-    one stream side by side.
+    process. _successes jumps ahead with them to run about sqrt(count)
+    stretches of the one stream side by side.
     """
 
     __slots__ = ("state",)
@@ -105,12 +93,8 @@ class Xorshift64Star:
         self.state = (seed & _MASK) or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK
-        x ^= x >> 27
-        self.state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
+        self.state = x = _update(self.state)
+        return x * _MUL & _MASK
 
     def bernoulli(self, p: float) -> bool:
         """True with probability p: compares the top 53 bits to floor(p * 2^53)."""
@@ -126,9 +110,10 @@ class Xorshift64Star:
         floor(p * 2^53); the limit is clamped to [0, 2^64], which changes
         no outcome. The generators draw every vertex pair through it.
 
-        The draws run in blocks of up to _MAX_LANES lanes, each a 128-bit
-        slot of one int. Lane j of a block starts where the stream stands
-        after j * stride of the block's draws, reached by jump-ahead, so
+        The draws run in one block of about sqrt(count) lanes, each a
+        128-bit slot of one int, every lane but the top one drawing stride
+        times, a power of two near sqrt(count). Lane j starts where the
+        stream stands after j * stride draws, reached by jump-ahead, so
         the draw at step s of lane j is position j * stride + s. A step
         moves every lane on by three masked shift-xors, multiplies (a
         64-bit lane times the 64-bit constant fills its slot), masks the
@@ -136,44 +121,39 @@ class Xorshift64Star:
         lane: bit 64 of a lane is then set exactly when its output is below
         the limit. Byte 8 of each 16-byte slot holds that bit, read for all
         lanes by one to_bytes and slice. The top lane's state at its last
-        draw is the block's end state, where the next block starts.
+        draw is the state after the call.
         """
+        if count <= 0:
+            return []
         limit = min(max(int(p * (1 << 53)) << 11, 0), 1 << 64)
-        # the least power of two that fits count into _MAX_LANES lanes
-        fit = 1 << (-(-count // _MAX_LANES) - 1).bit_length()
-        stride = min(_MAX_STRIDE, max(_MIN_STRIDE, fit))
-        block = stride * _MAX_LANES
+        stride = 1 << (count - 1).bit_length() // 2
+        lanes = -(-count // stride)
+        top = 128 * (lanes - 1)
+        last = count - (lanes - 1) * stride - 1  # the top lane's last step
+        ones = int.from_bytes(_SLOT_ONE * lanes, "little")
+        low, cut = ones * _MASK, ones * (_MASK + limit)
+        size = width = 16 * lanes
         sparse = limit < 1 << 61  # below one hit in eight draws
-        state = self.state
         hits = []
-        for start in range(0, count, block):
-            end = min(count, start + block)
-            lanes = -(-(end - start) // stride)
-            top = 128 * (lanes - 1)
-            last = end - start - (lanes - 1) * stride - 1  # the top lane's last step
-            ones = int.from_bytes(_SLOT_ONE * lanes, "little")
-            low, cut = ones * _MASK, ones * (_MASK + limit)
-            size = width = 16 * lanes
-            x = _spread(state, stride, lanes)
-            for s in range(min(stride, end - start)):
-                x ^= x >> 12 & low
-                x ^= x << 25 & low
-                x ^= x >> 27 & low
-                flags = (cut - (x * _MUL & low)).to_bytes(size, "little")[8:width:16]
-                if sparse:
-                    # a find per hit beats compress, which makes every
-                    # lane's position whether it hit or not
-                    j = flags.find(1)
-                    while j >= 0:
-                        hits.append(start + s + j * stride)
-                        j = flags.find(1, j + 1)
-                else:
-                    hits += compress(range(start + s, end, stride), flags)
-                if s == last:
-                    state = x >> top
-                    width -= 16  # the top lane is done
-        self.state = state
-        hits.sort()  # each block's hits come step by step, not lane by lane
+        x = _spread(self.state, stride, lanes)
+        for s in range(stride):
+            x ^= x >> 12 & low
+            x ^= x << 25 & low
+            x ^= x >> 27 & low
+            flags = (cut - (x * _MUL & low)).to_bytes(size, "little")[8:width:16]
+            if sparse:
+                # a find per hit beats compress, which makes every lane's
+                # position whether it hit or not
+                j = flags.find(1)
+                while j >= 0:
+                    hits.append(s + j * stride)
+                    j = flags.find(1, j + 1)
+            else:
+                hits += compress(range(s, count, stride), flags)
+            if s == last:
+                self.state = x >> top
+                width -= 16  # the top lane is done
+        hits.sort()  # the hits come step by step, not lane by lane
         return hits
 
     def next_below(self, bound: int) -> int:

@@ -743,6 +743,23 @@ class TestBench:
             assert row[3] == "4"  # sidecar k
             assert float(row[9]) >= 1.0  # stored optimum over achieved density
 
+    def test_ratio_only_at_the_sidecar_k(self, capsys, tmp_path):
+        # the sidecar's optimum, the planted block's density, holds at its
+        # own k = 8 alone: against it a K4 at k = 4, optimal there, read 2.0
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "planted", "--n", "40", "--k", "8", "--p-in", "0.9",
+              "--p-out", "0.05", "--seed", "1", "--out", str(corpus / "p.edges")])
+        capsys.readouterr()
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--corpus", str(corpus), "--k", "4,8",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["k"] for row in rows] == ["4"] * 5 + ["8"] * 5
+        for row in rows:
+            assert row["status"] == "ok"
+            assert (row["ratio_vs_known"] == "") is (row["k"] == "4")
+
     def test_weighted_instances_get_one_row(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

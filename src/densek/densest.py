@@ -9,13 +9,26 @@ threshold to the density of each witness found; every step strictly
 increases it, and the first threshold with no witness is the optimum,
 certified by that cut. The smallest maximizer of 2*w(E(S)) - t*|S| shrinks
 as t rises (2*w(E(S)) is supermodular), so each flow runs only on the
-previous witness, and the threshold-0 witness needs no flow at all.
+previous witness.
+
+The first witness needs no flow. It is the set R left once removable
+vertices are deleted, the least weighted degree first, ties to the smaller
+id: v is removable from S when d_S(v)*|S| < w(S), the rule alg1 peels by.
+Each deletion strictly raises the density, so a vertex deleted from S had
+d_S(v) < density(S)/2 <= t/2 for every t >= density(R). Take a maximizer M
+of 2*w(E(S)) - t*|S| at such a t, and the first deleted vertex v in it: M
+lies in the S that v was deleted from, so dropping v from M changes the
+score by t - 2*d_M(v) > 0. No maximizer contains a deleted vertex, so every
+maximizer at the first threshold, density(R), lies in R, and D* does too.
+When R is already densest, the one flow finds nothing and certifies R = D*;
+on sparse gnp graphs that is the common case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Iterable
 
@@ -111,7 +124,13 @@ def has_subgraph_denser_than(
     As 2*w(E(S)) is supermodular, every maximizer at a higher threshold
     lies inside that set, so a search at a higher threshold within it
     returns what a search on all of g would.
+
+    The threshold is a plain int or a Fraction; anything else, a float or a
+    bool included, raises ValueError before the network is built.
     """
+    # Fraction() would also take 1.4, "7/5" or True.
+    if type(threshold) is not int and not isinstance(threshold, Fraction):
+        raise ValueError(f"threshold {threshold!r} is not an int or a Fraction")
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -166,34 +185,59 @@ def has_subgraph_denser_than(
 def densest_subgraph(g: Graph) -> DensestResult:
     """The exact maximum-density vertex set, plus a connected one matching it.
 
-    Dinkelbach iteration: starting from the witness at threshold 0 (the
-    vertices on positive-weight edges), raise the threshold to the witness's
+    The start: count each vertex's weighted degree over the positive-weight
+    edges, then delete removable vertices, those of degree d with
+    d*|S| < w(S), the least degree first and ties to the smaller id, until
+    none is left. Each deletion strictly raises the density, so a deleted
+    vertex had degree below t/2, for every t >= density(R) of the set R
+    left, within a superset of any maximizer of 2*w(E(S)) - t*|S|.
+    Dropping it would raise that maximizer's score, so no maximizer
+    contains it, and every maximizer at threshold density(R) lies in R.
+
+    Dinkelbach iteration from there: raise the threshold to the witness's
     own density until no denser set exists; that final None certifies
-    optimality. Each witness is the smallest maximizer of (d(S) - t)*|S| at
-    a threshold t below the optimum, and every maximizer at a higher
-    threshold lies inside it, so the next search runs within it. The last
-    one attains the optimum d*, so it is D*, the union of all
-    maximum-density sets: those are closed under union, and one strictly
-    containing the witness would score (d* - t) times a larger size,
-    beating the witness.
+    optimality. Each later witness is the smallest maximizer of
+    (d(S) - t)*|S| at a threshold t below the optimum, and every maximizer
+    at a higher threshold lies inside it, so the next search runs within
+    it. The last witness attains the optimum d*, so it is D*, the union of
+    all maximum-density sets: those are closed under union, each maximizes
+    the score at t = d*, so lies in the witness, and the witness is one of
+    them. When R is already densest, the first flow finds nothing and R is
+    D*.
 
     Every connected component of a maximizer is itself a maximizer, so the
     connected variant (the component holding the smallest vertex) has the
     same density.
     """
-    touched = set()
-    for e, w in zip(g.edges, g.weights or repeat(1)):
-        if w:
-            touched.update(e)
-    if not touched:
+    wdeg = [0] * g.n
+    for (u, v), w in zip(g.edges, g.weights or repeat(1)):
+        wdeg[u] += w
+        wdeg[v] += w
+    deg = {v: d for v, d in enumerate(wdeg) if d}
+    if not deg:
         raise ValueError("density maximization undefined at zero edges")
-    witness = tuple(sorted(touched))
-    while True:
-        best = density(g, witness)
-        found = has_subgraph_denser_than(g, best, within=witness)
-        if found is None:
+    # v is removable iff deleting it strictly raises the density:
+    # 2(W - d(v))/(s - 1) > 2W/s  <=>  d(v) * s < W. The heap keeps one
+    # entry per degree a vertex had; one that is no longer current is stale.
+    size, weight = len(deg), sum(deg.values()) // 2
+    heap = [(d, v) for v, d in deg.items()]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        if deg.get(v) != d:
+            continue
+        if d * size >= weight:
             break
-        witness = found
+        del deg[v]
+        size -= 1
+        weight -= d
+        for u in g.neighbors(v):
+            if u in deg and (w := g.edge_weight(u, v)):
+                deg[u] -= w
+                heappush(heap, (deg[u], u))
+    witness, best = tuple(sorted(deg)), Fraction(2 * weight, size)
+    while (found := has_subgraph_denser_than(g, best, within=witness)) is not None:
+        witness, best = found, density(g, found)
     connected = components(g, witness)[0]
     return DensestResult(subgraph=witness, density=best, connected_variant=connected)
 

@@ -12,13 +12,14 @@ from densek import (
     densest_connected_subgraph,
     densest_subgraph,
     density,
+    gnp,
     has_subgraph_denser_than,
 )
 import densek.densest
 from densek.graph import is_connected
 from helpers import complete, connected_corpus, densest_union, k4p, path, star
 from helpers import densest_subgraph_reference, has_subgraph_denser_than_reference
-from helpers import induced, twice, weighted_version
+from helpers import induced, is_removable, twice, weighted_version
 from helpers import two_triangles_bridged, two_triangles_path3
 from strategies import connected_graphs, simple_graphs
 
@@ -136,6 +137,13 @@ class TestThresholdQueries:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             has_subgraph_denser_than(path(3), Fraction(-1))
+
+    @pytest.mark.parametrize("threshold", [1.4, "7/5", True],
+                             ids=["float", "str", "bool"])
+    def test_threshold_must_be_int_or_fraction(self, threshold):
+        # Fraction() takes each of these, and each would return a witness
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            has_subgraph_denser_than(k4p(), threshold)
 
     def test_feasibility_is_monotone(self):
         g = two_triangles_bridged()
@@ -264,8 +272,10 @@ class TestAgainstReference:
 
     def test_each_flow_runs_within_the_previous_witness(self, monkeypatch):
         # the loop calls the module global, so a tracer wrapped around it
-        # sees every flow; the threshold-0 witness is computed directly.
-        # K4 with a tail 3-4-5, a zero-weight edge 5-6 and isolated vertex 7
+        # sees every flow; the first witness, the removable-free set, is
+        # computed directly. K4 with a tail 3-4-5, a zero-weight edge 5-6
+        # and isolated vertex 7: shedding 5 then 4 leaves the K4, already
+        # densest, so its one flow finds nothing
         g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
                       (4, 5), (5, 6)], [1, 1, 1, 1, 1, 1, 1, 1, 0])
         calls = []
@@ -278,12 +288,56 @@ class TestAgainstReference:
 
         monkeypatch.setattr(densek.densest, "has_subgraph_denser_than", spy)
         result = densest_subgraph(g)
-        assert calls[0][:2] == ((0, 1, 2, 3, 4, 5), Fraction(8, 3))
-        assert len(calls) == 2
+        assert calls == [((0, 1, 2, 3), Fraction(3), None)]
         for (within, _, found), (nested, _, _) in zip(calls, calls[1:]):
             assert nested == found and set(found) <= set(within)
         assert calls[-1] == (result.subgraph, result.density, None)
         assert result == densest_subgraph_reference(g)
+
+
+def flows_run(g):
+    """(within, threshold) of each flow densest_subgraph(g) runs, in order."""
+    calls = []
+    real = densek.densest.has_subgraph_denser_than
+
+    def spy(g, threshold, within=None):
+        calls.append((tuple(within), threshold))
+        return real(g, threshold, within=within)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(densek.densest, "has_subgraph_denser_than", spy)
+        densest_subgraph(g)
+    return calls
+
+
+class TestRemovableFreeStart:
+    """The Dinkelbach loop starts from the set left once removable vertices
+    are shed, which holds every maximum-density set."""
+
+    @given(small_graphs())
+    def test_first_flow_runs_within_a_removable_free_superset_of_d_star(self, g):
+        if g.total_weight == 0:
+            return
+        within, threshold = flows_run(g)[0]
+        assert set(densest_union(g)) <= set(within)
+        assert not any(is_removable(g, v, within) for v in within)
+        assert threshold == density(g, within)
+        # the vertices on positive-weight edges, where the loop used to start
+        touched = tuple(v for v in range(g.n) if g.weighted_degree(v))
+        if not any(is_removable(g, v, touched) for v in touched):
+            assert (within, threshold) == (touched, density(g, touched))
+
+    def test_sparse_gnp_needs_few_flows(self):
+        # gnp(n, 8/n) for n = 40, 60, ..., 200 at seeds 1-3, 27 calls: the
+        # touched-set start ran 55 flows (2.04 a call), the removable-free
+        # start runs 31 (1.15), as most first flows certify the start set
+        flows = [
+            len(flows_run(gnp(n, 8 / n, seed)))
+            for n in range(40, 201, 20)
+            for seed in (1, 2, 3)
+        ]
+        assert len(flows) == 27
+        assert sum(flows) <= 40
 
 
 class TestWithinMask:

@@ -23,7 +23,7 @@ from .algorithms import (
     run_named_algorithm,
     weighted_greedy,
 )
-from .densest import densest_connected_subgraph, densest_subgraph, has_subgraph_denser_than
+from .densest import densest_subgraph, has_subgraph_denser_than
 from .generators import (
     Xorshift64Star,
     example1a,
@@ -57,7 +57,6 @@ __all__ = [
     "best_connected_k_subgraph",
     "brute_densest",
     "brute_k",
-    "densest_connected_subgraph",
     "densest_subgraph",
     "density",
     "example1a",

@@ -15,13 +15,14 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Callable, Container, Iterable
 
-from .densest import densest_connected_subgraph
+from .densest import densest_subgraph
 from .graph import (
     Graph,
     _bfs,
     _member_set,
     _top,
     _view_degrees,
+    _weighted_degrees,
     components,
     densest_component_after,
     density,
@@ -347,7 +348,7 @@ def alg3(g: Graph, k: int) -> Solution:
     """
     emit = trace
     _check_even_input(g, k)
-    dense = densest_connected_subgraph(g)
+    dense = densest_subgraph(g).connected_variant
     if len(dense) <= k:
         out = expand_to_k(g, dense, k)
         if emit is not None:
@@ -450,10 +451,7 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
         raise ValueError("input graph must be connected")
     adj = g._adj
     weight_of = g._weight_of
-    wdeg = [0] * g.n
-    for (u, v), w in weight_of.items():
-        wdeg[u] += w
-        wdeg[v] += w
+    wdeg = _weighted_degrees(g)
     best = None
     best_twice = -1
     for center in range(g.n):

@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Iterable
 
-from .graph import Graph, _member_set, components, density
+from .graph import Graph, _member_set, _weighted_degrees, components, density
 
 
 def _residual_source_side(
@@ -185,14 +185,10 @@ def has_subgraph_denser_than(
 def densest_subgraph(g: Graph) -> DensestResult:
     """The exact maximum-density vertex set, plus a connected one matching it.
 
-    The start: count each vertex's weighted degree over the positive-weight
-    edges, then delete removable vertices, those of degree d with
-    d*|S| < w(S), the least degree first and ties to the smaller id, until
-    none is left. Each deletion strictly raises the density, so a deleted
-    vertex had degree below t/2, for every t >= density(R) of the set R
-    left, within a superset of any maximizer of 2*w(E(S)) - t*|S|.
-    Dropping it would raise that maximizer's score, so no maximizer
-    contains it, and every maximizer at threshold density(R) lies in R.
+    The start is the set R left once removable vertices, those of weighted
+    degree d with d*|S| < w(S), are deleted, the least degree first and
+    ties to the smaller id, until none is left; the module docstring proves
+    that every maximizer at threshold density(R) lies in R.
 
     Dinkelbach iteration from there: raise the threshold to the witness's
     own density until no denser set exists; that final None certifies
@@ -209,11 +205,7 @@ def densest_subgraph(g: Graph) -> DensestResult:
     connected variant (the component holding the smallest vertex) has the
     same density.
     """
-    wdeg = [0] * g.n
-    for (u, v), w in zip(g.edges, g.weights or repeat(1)):
-        wdeg[u] += w
-        wdeg[v] += w
-    deg = {v: d for v, d in enumerate(wdeg) if d}
+    deg = {v: d for v, d in enumerate(_weighted_degrees(g)) if d}
     if not deg:
         raise ValueError("density maximization undefined at zero edges")
     # v is removable iff deleting it strictly raises the density:
@@ -240,8 +232,3 @@ def densest_subgraph(g: Graph) -> DensestResult:
         witness, best = found, density(g, found)
     connected = components(g, witness)[0]
     return DensestResult(subgraph=witness, density=best, connected_variant=connected)
-
-
-def densest_connected_subgraph(g: Graph) -> tuple[int, ...]:
-    """A connected vertex set attaining the global maximum density."""
-    return densest_subgraph(g).connected_variant

@@ -213,9 +213,7 @@ def example1a(ell: int) -> GapInstance:
     for i in range(ell - 1):
         inner = range(interior0 + i * ell * ell, interior0 + (i + 1) * ell * ell)
         chain = [i * ell, *inner, (i + 1) * ell]
-        edges.extend(
-            (a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])
-        )
+        edges.extend(zip(chain, chain[1:]))
     graph = Graph(ell**3, edges)
     if ell == 2:
         # the clique union (two disjoint edges, density 1) is beaten by a

@@ -127,22 +127,11 @@ class Graph:
     def weighted(self) -> bool:
         return self.weights is not None
 
-    @property
-    def total_weight(self) -> int:
-        """Sum of edge weights; equals m when unweighted."""
-        return sum(self._weight_of.values())
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    def weighted_degree(self, v: int) -> int:
-        return sum(self.edge_weight(v, u) for u in self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._weight_of
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of edge uv (1 on unweighted graphs). Errors if absent."""
@@ -173,10 +162,25 @@ def _member_set(g: Graph, within) -> set[int] | range:
     if within is None:
         return range(g.n)
     members = set(within)
+    n = g.n
     for v in members:
-        if not (0 <= v < g.n):
+        # a bool or a float passes the range test: the adjacency would take
+        # True as 1, and 1.0 not at all
+        if type(v) is not int:
+            raise ValueError(f"vertex id {v!r} is not a plain integer")
+        if not 0 <= v < n:
             raise ValueError(f"unknown vertex {v}")
     return members
+
+
+def _weighted_degrees(g: Graph) -> list[int]:
+    # Each vertex's summed edge weights over the whole graph, the one count
+    # of them in the package.
+    wdeg = [0] * g.n
+    for (u, v), w in g._weight_of.items():
+        wdeg[u] += w
+        wdeg[v] += w
+    return wdeg
 
 
 def induced_weight(g: Graph, s: Iterable[int] | None = None) -> int:

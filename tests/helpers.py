@@ -248,12 +248,8 @@ def is_removable(g, v, within=None):
         raise ValueError(f"vertex {v} not in the graph")
     if len(members) < 2:
         raise ValueError("removability needs at least two vertices")
-    if within is None:
-        deg = g.weighted_degree(v)
-        total = g.total_weight
-    else:
-        deg = sum(g.edge_weight(v, u) for u in g.neighbors(v) if u in members)
-        total = induced_weight(g, members)
+    deg = sum(g.edge_weight(v, u) for u in g.neighbors(v) if u in members)
+    total = sum(g.edge_weight(a, b) for a, b in g.edges if a in members and b in members)
     return deg * len(members) < total
 
 
@@ -387,7 +383,7 @@ def has_subgraph_denser_than_reference(g, threshold):
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     num, den = threshold.numerator, threshold.denominator
-    wdeg = [g.weighted_degree(v) for v in range(g.n)]
+    wdeg = [sum(g.edge_weight(v, u) for u in g.neighbors(v)) for v in range(g.n)]
     big = den * max(wdeg, default=0) + 1
     source, sink = g.n, g.n + 1
     net = FlowNetwork(g.n + 2)

@@ -1,0 +1,68 @@
+"""The benchmark's judge: quartiles of runs and the verdict on paired runs.
+
+perfbench/ is a directory of scripts, not a package, so its directory goes
+on sys.path, as it is for `python3 perfbench/run.py`.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import results
+
+SEEDS = range(1, 11)
+
+
+def runs(values):
+    """{seed: value} for seeds 1..10, as compare pairs them."""
+    return dict(zip(SEEDS, values))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([7], (7, 7, 7)),
+    ([1, 2, 3, 4, 5], (1.5, 3, 4.5)),
+    ([5, 1, 4, 2, 3], (1.5, 3, 4.5)),
+    ([1, 2, 3, 4], (1.25, 2.5, 3.75)),
+    (list(range(101, 111)), (102.75, 105.5, 108.25)),
+])
+def test_quartiles(values, expected):
+    # statistics.quantiles' exclusive method: the quartile j of n sorted
+    # values sits at position j * (n + 1) / 4, interpolated
+    assert results._quartiles(values) == expected
+
+
+TIGHT = runs(range(101, 111))  # quartile spread 5.5 / 105.5, about 0.05
+WIDE = runs(range(100, 200, 10))  # quartile spread 55 / 145, about 0.38
+
+
+@pytest.mark.parametrize("parent, change, lower, verdict", [
+    # all ten pairs won, medians 20 apart against a parent spread of 5.5
+    (TIGHT, runs(range(81, 91)), True, "improved"),
+    (TIGHT, runs(range(131, 141)), False, "improved"),
+    # every pair lost, but by under 1% of the median, inside the 0.2 bound
+    (TIGHT, runs(range(102, 112)), True, "no worse"),
+    # the same runs, paired in reverse: five pairs won, spread above the bound
+    (WIDE, runs(range(190, 90, -10)), True, "unresolved"),
+    (TIGHT, runs(range(151, 161)), True, "worse"),
+    (TIGHT, runs(range(61, 71)), False, "worse"),
+    # spread above the bound, and all ten pairs won, but by medians 50.5
+    # apart against a parent spread of 55: every change run beats every
+    # parent run, so it is no worse
+    (WIDE, runs(range(90, 100)), True, "no worse"),
+])
+def test_verdict(parent, change, lower, verdict):
+    *_, wins, pairs, got = results._verdict(parent, change, lower, 0.2)
+    assert got == verdict
+    assert pairs == 10
+    better = (lambda c, p: c < p) if lower else (lambda c, p: c > p)
+    assert wins == sum(better(change[s], parent[s]) for s in SEEDS)
+
+
+def test_verdict_pairs_only_the_seeds_both_sides_ran():
+    parent = runs(range(101, 111))
+    change = {seed: value - 20 for seed, value in parent.items() if seed <= 8}
+    *_, wins, pairs, verdict = results._verdict(parent, change, True, 0.2)
+    assert (wins, pairs, verdict) == (8, 8, "improved")

@@ -14,6 +14,7 @@ from densek.graph import (
     EdgeListError,
     Graph,
     _view_degrees,
+    _weighted_degrees,
     components,
     cut_vertices,
     densest_component_after,
@@ -68,14 +69,15 @@ class TestGraphBasics:
         assert g.weighted
         assert g.weights == (2, 7)  # sorted with their edges
         assert g.edge_weight(2, 1) == 7
-        assert g.weighted_degree(1) == 9
-        assert g.total_weight == 9
+        assert _weighted_degrees(g) == [2, 9, 7]
+        assert induced_weight(g) == 9
 
     def test_unweighted_edge_weight_is_one(self):
         g = path(3)
         assert not g.weighted
         assert g.edge_weight(0, 1) == 1
-        assert g.total_weight == g.m
+        assert _weighted_degrees(g) == [1, 2, 1]
+        assert induced_weight(g) == g.m
 
     def test_missing_edge_weight_errors(self):
         with pytest.raises(ValueError):
@@ -329,13 +331,15 @@ class TestCutVertices:
         with pytest.raises(ValueError, match="empty"):
             cut_vertices(path(3), within=[])
 
-    @given(connected_graphs(min_n=2, max_n=9))
-    def test_matches_disconnection(self, g):
-        cuts = set(cut_vertices(g))
-        everyone = set(range(g.n))
-        for v in range(g.n):
-            splits = len(components(g, everyone - {v})) > 1
-            assert (v in cuts) == splits
+    @given(graphs_with_subset(min_n=2, max_n=9))
+    def test_matches_disconnection(self, case):
+        # the whole graph, and each component of a drawn subset as a view
+        g, s, _ = case
+        for view in [range(g.n), *components(g, s)]:
+            cuts = set(cut_vertices(g, within=view))
+            for v in view:
+                splits = len(components(g, set(view) - {v})) > 1
+                assert (v in cuts) == splits
 
 
 class TestDensestComponentAfter:
@@ -487,6 +491,27 @@ class TestWholeGraphView:
         expected = answers(None)
         assert answers(range(g.n)) == expected
         assert answers(list(range(g.n))) == expected
+
+
+class TestViewIds:
+    CALLS = {
+        "density": lambda g, view: density(g, view),
+        "components": lambda g, view: components(g, view),
+        "is_connected": lambda g, view: is_connected(g, view),
+        "expand_to_k": lambda g, view: expand_to_k(g, [0], 3, within=view),
+        "j_attachment": lambda g, view: j_attachment(g, [0], 2, within=view),
+        "has_subgraph_denser_than":
+            lambda g, view: has_subgraph_denser_than(g, 0, within=view),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("view", [(0, 1.0, 2), (0, True, 2)], ids=["float", "bool"])
+    def test_an_id_that_is_no_plain_int_is_refused(self, name, view):
+        # 1.0 and True equal the id 1, so they pass a range test; refused as
+        # Graph refuses them in an edge, not read as vertex 1 or left to a
+        # TypeError from the adjacency
+        with pytest.raises(ValueError, match="not a plain integer"):
+            self.CALLS[name](path(3), view)
 
 
 class TestEdgeListFormat:

@@ -19,7 +19,9 @@ from .densest import densest_subgraph
 from .graph import (
     Graph,
     _bfs,
+    _check_range,
     _member_set,
+    _require_ints,
     _top,
     _view_degrees,
     _weighted_degrees,
@@ -87,8 +89,7 @@ def _make_solution(g: Graph, vertices: Iterable[int], name: str, k: int) -> Solu
 def _check_even_input(g: Graph, k: int) -> None:
     if g.weighted:
         raise ValueError("this algorithm accepts unweighted graphs only")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    _check_range("k", k, 2, g.n)
     if k % 2:
         raise ValueError(f"k={k} must be even")
     if not is_connected(g):
@@ -149,6 +150,7 @@ def _stalled_view(
     # over the view checks that it is connected and counts its degrees.
     if g.weighted:
         raise ValueError(f"{name} accepts unweighted graphs only")
+    _require_ints(k=k)
     if k < 2 or k % 2:
         raise ValueError(f"k={k} must be even and at least 2")
     view = _member_set(g, within)
@@ -361,8 +363,7 @@ def highest_degree_vertices(g: Graph, count: int) -> tuple[int, ...]:
     """The count largest-degree vertices, ties toward smaller ids: the
     ranking rule of j_attachment, keyed by degree.
     """
-    if not 0 <= count <= g.n:
-        raise ValueError(f"count={count} out of range 0..{g.n}")
+    _check_range("count", count, 0, g.n)
     return tuple(sorted(_top(range(g.n), count, g.degree)))
 
 
@@ -445,8 +446,7 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
     The heaviest set wins; a tie keeps the earlier star, whose center has
     the smaller id, so the skip in fact 2 never changes the answer.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 1..{g.n}")
+    _check_range("k", k, 1, g.n)
     if not is_connected(g):
         raise ValueError("input graph must be connected")
     adj = g._adj
@@ -510,8 +510,7 @@ def run_named_algorithm(g: Graph, k: int, name: str) -> Solution:
         raise ValueError(
             f"unknown algorithm {name!r}; pick from {tuple(ALGORITHMS)}"
         )
-    if not 3 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 3..{g.n}")
+    _check_range("k", k, 3, g.n)
     accepts_weighted, function = ALGORITHMS[name]
     run = globals()[function]
     if accepts_weighted:

@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import Any
 
-from .graph import Graph, _integers, components, density, save_edge_list
+from .graph import Graph, _integers, _require_ints, components, density, save_edge_list
 
 _MASK = (1 << 64) - 1
 _MUL = 0x2545F4914F6CDD1D
@@ -157,6 +157,7 @@ class Xorshift64Star:
         return hits
 
     def next_below(self, bound: int) -> int:
+        _require_ints(bound=bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
@@ -262,14 +263,6 @@ def example1b(ell: int) -> GapInstance:
     )
 
 
-def _require_ints(**values) -> None:
-    """ValueError naming the first value that is not a plain int (a bool is
-    not), Graph's rule for its vertex count."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 def _pairs(n: int, hits: list[int]) -> list[tuple[int, int]]:
     """The pairs (u, v) at ascending positions hits of the stream of pairs
     u < v < n in lexicographic order."""
@@ -369,13 +362,15 @@ def save_instance(
     """Write the edge-list file plus the JSON sidecar describing it.
 
     ValueError, before anything is written, when path is its own sidecar
-    path (one ending in .json): the sidecar would overwrite the instance.
+    path (one ending in .json), or when k is neither None nor a plain int.
     """
     path = Path(path)
     side = sidecar_path(path)
     if side == path:
         raise ValueError(f"instance path {path} is its own sidecar path; "
                          "give it a suffix other than .json")
+    if k is not None:
+        _require_ints(k=k)
     save_edge_list(graph, path)
     meta = {"family": family, "params": params, "k": k}
     for name, value in (("known_opt", known_opt), ("known_connected", known_connected)):

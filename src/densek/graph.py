@@ -173,6 +173,21 @@ def _member_set(g: Graph, within) -> set[int] | range:
     return members
 
 
+def _require_ints(**values) -> None:
+    """ValueError naming the first value that is not a plain int (a bool is
+    not), Graph's rule for its vertex count and for every other count."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def _check_range(name: str, value, low: int, high: int) -> None:
+    # The package's one count check: a plain int in low..high, else ValueError.
+    _require_ints(**{name: value})
+    if not low <= value <= high:
+        raise ValueError(f"{name}={value} out of range {low}..{high}")
+
+
 def _weighted_degrees(g: Graph) -> list[int]:
     # Each vertex's summed edge weights over the whole graph, the one count
     # of them in the package.
@@ -302,6 +317,7 @@ def densest_component_after(
     rest = set(_member_set(g, within))
     if v not in rest:
         raise ValueError(f"vertex {v} not in the graph")
+    _member_set(g, (v,))
     rest.remove(v)
     comps = components(g, rest)
     if len(comps) < 2:
@@ -376,8 +392,10 @@ def expand_to_k(
     sset = set(s)
     if not sset:
         raise ValueError("cannot expand an empty set")
-    if not all(v in members for v in sset):
+    if not sset.issubset(members):
         raise ValueError("seed set leaves the graph")
+    _member_set(g, sset)
+    _require_ints(k=k)
     if len(sset) > k:
         raise ValueError(f"seed has {len(sset)} vertices, more than k={k}")
     if k > len(members):
@@ -402,10 +420,10 @@ def j_attachment(
     sset = set(s)
     if not sset:
         raise ValueError("attachment needs a nonempty base set")
-    if not all(v in members for v in sset):
+    if not sset.issubset(members):
         raise ValueError("base set leaves the graph")
-    if not 1 <= j <= len(members) - len(sset):
-        raise ValueError(f"j={j} out of range 1..{len(members) - len(sset)}")
+    _member_set(g, sset)
+    _check_range("j", j, 1, len(members) - len(sset))
     # Each vertex of the view with its neighbours in s, counted from s's side.
     counts = Counter(u for v in sset for u in g.neighbors(v) if u in members)
     picked = _top(counts.keys() - sset, j, counts.__getitem__)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, _check_range, _require_ints
 
 K_SUBGRAPH_LIMIT = 20
 DENSEST_LIMIT = 16
@@ -31,6 +31,7 @@ class OracleResult:
 
 def _check_size(n: int, default: int, override: int | None) -> None:
     limit = default if override is None else override
+    _require_ints(limit=limit)
     if n > limit:
         raise OracleLimitError(
             f"instance too large for oracle: n={n} exceeds limit {limit}"
@@ -60,8 +61,7 @@ def check_brute_k(n: int, k: int, limit: int | None = None) -> None:
     the size guard, so a caller can check a file's header before building
     its graph.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
+    _check_range("k", k, 1, n)
     _check_size(n, K_SUBGRAPH_LIMIT, limit)
 
 

@@ -4,6 +4,7 @@ perfbench/ is a directory of scripts, not a package, so its directory goes
 on sys.path, as it is for `python3 perfbench/run.py`.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -66,3 +67,35 @@ def test_verdict_pairs_only_the_seeds_both_sides_ran():
     change = {seed: value - 20 for seed, value in parent.items() if seed <= 8}
     *_, wins, pairs, verdict = results._verdict(parent, change, True, 0.2)
     assert (wins, pairs, verdict) == (8, 8, "improved")
+
+
+def write_result_set(directory, failed):
+    """auto-gnp runs for seeds 1..10, every end-to-end metric reading as
+    TIGHT does, and `failed` failed solves on seed 1."""
+    directory.mkdir()
+    names = [metric["name"] for metric in results._spec()["end_to_end"]]
+    for seed, value in TIGHT.items():
+        run = {"failed": failed if seed == 1 else 0,
+               "metrics": {name: {"value": value} for name in names}}
+        (directory / f"auto-gnp.seed{seed}.json").write_text(
+            json.dumps(run) + "\n", encoding="utf-8")
+    return names
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, verdict", [
+    # one more failed solve on the change side overrides every verdict
+    (0, 1, "worse (more failed solves)"),
+    # equal or fewer failures leave the ordinary verdict: equal runs
+    (1, 1, "no worse"),
+    (1, 0, "no worse"),
+])
+def test_compare_marks_more_failed_solves_worse(
+    tmp_path, capsys, parent_failed, change_failed, verdict
+):
+    names = write_result_set(tmp_path / "parent", parent_failed)
+    write_result_set(tmp_path / "change", change_failed)
+    assert results.compare_main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    head, _, *rows = capsys.readouterr().out.splitlines()
+    assert head == f"auto-gnp: failed {parent_failed} (parent) vs {change_failed} (change)"
+    assert [row.split()[0] for row in rows] == names
+    assert all(row.endswith(f" {verdict}") for row in rows)

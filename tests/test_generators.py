@@ -434,3 +434,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match="its own sidecar path"):
             example1a(2).save(target)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_a_k_load_sidecar_would_refuse_is_refused(self, tmp_path, k):
+        # the sidecar would hold 2.0 or true, which load_sidecar reads as no
+        # integer k: nothing is written
+        with pytest.raises(ValueError, match="^k must be an int"):
+            save_instance(gnp(10, 0.5, seed=2), tmp_path / "a.edges",
+                          family="X", params={}, k=k)
+        assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from densek import (
+    Xorshift64Star,
+    alg1,
+    alg3,
+    alg4,
+    alg5_hub,
+    best_connected_k_subgraph,
+    brute_k,
+    run_named_algorithm,
+    weighted_greedy,
+)
+from densek.algorithms import highest_degree_vertices, prc1, prc2
 from densek.densest import has_subgraph_denser_than
 from densek.graph import (
     EdgeError,
@@ -512,6 +524,52 @@ class TestViewIds:
         # TypeError from the adjacency
         with pytest.raises(ValueError, match="not a plain integer"):
             self.CALLS[name](path(3), view)
+
+    SEEDS = {
+        "expand_to_k-bool": lambda g: expand_to_k(g, [True], 3),
+        "expand_to_k-float": lambda g: expand_to_k(g, [1.0], 3),
+        "j_attachment-bool": lambda g: j_attachment(g, [True], 1),
+        "j_attachment-float": lambda g: j_attachment(g, [1.0], 1),
+        "densest_component_after-bool": lambda g: densest_component_after(g, True),
+        "densest_component_after-float": lambda g: densest_component_after(g, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", SEEDS)
+    def test_a_seed_or_vertex_that_is_no_plain_int_is_refused(self, name):
+        # the seed and the vertex pass the view's membership test as 1 or 2
+        # would, so they take the view's plain-int rule after it
+        with pytest.raises(ValueError, match="not a plain integer"):
+            self.SEEDS[name](path(3))
+
+
+class TestCounts:
+    CALLS = {
+        "alg1": alg1,
+        "alg3": alg3,
+        "alg4": alg4,
+        "alg5_hub": alg5_hub,
+        "weighted_greedy": weighted_greedy,
+        "run_named_algorithm": lambda g, c: run_named_algorithm(g, c, "alg1"),
+        "best_connected_k_subgraph": best_connected_k_subgraph,
+        "prc1": prc1,
+        "prc2": prc2,
+        "highest_degree_vertices": highest_degree_vertices,
+        "expand_to_k": lambda g, c: expand_to_k(g, [0], c),
+        "j_attachment": lambda g, c: j_attachment(g, [0], c),
+        "brute_k": brute_k,
+        "brute_k-limit": lambda g, c: brute_k(g, 4, limit=c),
+        "next_below": lambda g, c: Xorshift64Star(1).next_below(c),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("count", [4.0, True], ids=["float", "bool"])
+    def test_a_count_that_is_no_plain_int_is_refused(self, name, count):
+        # 4.0 and True pass a range test as 4 and 1 would; refused by the
+        # rule the generators apply to n, k and seed. The graph is the
+        # README's example: unweighted, connected, 6 vertices.
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        with pytest.raises(ValueError, match="must be an int"):
+            self.CALLS[name](g, count)
 
 
 class TestEdgeListFormat:

@@ -8,6 +8,7 @@ run in ascending id order.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -107,7 +108,8 @@ def _is_cut_vertex(g: Graph, view: Container[int], v: int) -> bool:
     # out within s rounds, so a cut vertex costs about deg(v) times its
     # smallest side, not the view (the parallel search of Even and Shiloach,
     # "An on-line edge-deletion problem", J. ACM 1981). A leaf needs none.
-    starts = [u for u in g.neighbors(v) if u in view]
+    adj = g._adj
+    starts = [u for u in adj[v] if u in view]
     if len(starts) < 2:
         return False
     owner = {u: i for i, u in enumerate(starts)}
@@ -121,7 +123,7 @@ def _is_cut_vertex(g: Graph, view: Container[int], v: int) -> bool:
                 continue
             if not queue:
                 return True
-            for x in g.neighbors(queue.popleft()):
+            for x in adj[queue.popleft()]:
                 j = owner.get(x)
                 if j is None:
                     if x in view:
@@ -174,8 +176,16 @@ def prc1(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     view, removable = _stalled_view(g, k, within, "prc1")
     if removable:
         raise ValueError("prc1 input must have no removable vertex")
+    return _prc1_core(g, k, view)
+
+
+def _prc1_core(g: Graph, k: int, view: set[int]) -> tuple[int, ...]:
+    # prc1 without its checks. Every caller guarantees them: g unweighted,
+    # k even and at least 2, view a set of g's ids with g[view] connected,
+    # more than k vertices and no removable vertex. prc1 checks them on its
+    # input; alg3's view is D*'s connected variant, a maximizer of the
+    # density, and deleting a vertex from a maximizer never raises it.
     half = k // 2
-    # expand_to_k's checks hold: _stalled_view found the view connected, > k.
     seed = _bfs(g, {min(view)}, view, half)
     attachment = j_attachment(g, seed, half, within=view)
     return tuple(sorted(seed.union(attachment)))
@@ -217,6 +227,7 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
 
     # Grow a connected seed until its blocks cover k/2 vertices, then prune
     # it minimal; minimality caps the covered count at k and the seed at k/2.
+    adj = g._adj
     half = k // 2
     start = min(surviving)
     chosen = {start}
@@ -225,8 +236,7 @@ def prc2(g: Graph, k: int, within: Iterable[int] | None = None) -> tuple[int, ..
     while covered < half:
         if not queue:
             raise RuntimeError("prc2: connected view must reach k/2 block weight")
-        v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in adj[queue.popleft()]:
             if u in surviving and u not in chosen:
                 chosen.add(u)
                 queue.append(u)
@@ -284,7 +294,8 @@ def alg1(g: Graph, k: int) -> Solution:
     """
     emit = trace
     _check_even_input(g, k)
-    deg = {v: g.degree(v) for v in range(g.n)}
+    adj = g._adj
+    deg = dict(enumerate(map(len, adj)))
     edges = g.m
     while True:
         if emit is not None:
@@ -310,7 +321,7 @@ def alg1(g: Graph, k: int) -> Solution:
             size -= 1
             lost = deg.pop(pick)
             edges -= lost
-            for u in g.neighbors(pick):
+            for u in adj[pick]:
                 if u in deg:
                     d = deg[u] = deg[u] - 1
                     if lost == 1 and u in cuts:
@@ -346,7 +357,8 @@ def alg1(g: Graph, k: int) -> Solution:
 def alg3(g: Graph, k: int) -> Solution:
     """Start from a densest connected subgraph; expand or shrink it to k.
 
-    A maximizer has no removable vertex, so shrinking can delegate to prc1.
+    A maximizer has no removable vertex, so shrinking hands it to prc1's
+    core without prc1's re-check of the view.
     """
     emit = trace
     _check_even_input(g, k)
@@ -356,7 +368,7 @@ def alg3(g: Graph, k: int) -> Solution:
         if emit is not None:
             emit("expand", seed=dense, out=out)
         return _make_solution(g, out, "alg3", k)
-    return _make_solution(g, prc1(g, k, within=dense), "alg3", k)
+    return _make_solution(g, _prc1_core(g, k, set(dense)), "alg3", k)
 
 
 def highest_degree_vertices(g: Graph, count: int) -> tuple[int, ...]:
@@ -364,7 +376,7 @@ def highest_degree_vertices(g: Graph, count: int) -> tuple[int, ...]:
     ranking rule of j_attachment, keyed by degree.
     """
     _check_range("count", count, 0, g.n)
-    return tuple(sorted(_top(range(g.n), count, g.degree)))
+    return tuple(sorted(_top(range(g.n), count, list(map(len, g._adj)).__getitem__)))
 
 
 def alg4_base(g: Graph, k: int) -> tuple[int, ...]:
@@ -393,20 +405,26 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     their count of two-step walks from the hub through middle vertices
     outside H, and up to k/2 neighbours outside H, ranked by their number
     of neighbours among the partners; both rankings break ties toward the
-    smaller id. The hub's component of that group, and its growth to k
-    vertices in the whole graph, come from the breadth-first search that
-    expand_to_k uses. The candidate with the most induced edges wins;
+    smaller id. The hub's component of that group is closed by set unions:
+    every near vertex touches the hub, and a partner joins once it touches
+    the component. Its growth to k vertices in the whole graph comes from
+    the breadth-first search that expand_to_k uses. The candidate with the
+    most induced edges wins, each edge counted once from its smaller end;
     ties keep the earliest hub. Per hub the work is local: its two-step
     neighbourhood outside H and the growth to k, never a whole-graph pass.
-    The scan reads Graph's neighbour tuples; its only per-call tables are
-    H, the vertices outside H, and their neighbour lists with H removed.
+    The scan reads Graph's neighbour tuples. Its per-call tables are H, the
+    vertices outside H, their neighbour lists with H removed, and up, each
+    vertex's larger neighbours: O(n + m) memory in all.
     """
     emit = trace
     _check_even_input(g, k)
     half = k // 2
+    adj = g._adj
     hubs = set(highest_degree_vertices(g, half))
     rest = [v for v in range(g.n) if v not in hubs]
-    free = [[u for u in g.neighbors(v) if u not in hubs] for v in range(g.n)]
+    free = [[u for u in row if u not in hubs] for row in adj]
+    # the rows are sorted, so a row's larger neighbours are one slice
+    up = [row[bisect(row, v):] for v, row in enumerate(adj)]
     best = None
     best_weight = -1
     for hub in rest:
@@ -414,14 +432,21 @@ def alg5_hub(g: Graph, k: int) -> Solution:
         walks = Counter(chain.from_iterable(map(free.__getitem__, free[hub])))
         del walks[hub]
         partners = _top(walks, half - 1, walks.__getitem__)
-        near = _top(free[hub], half, lambda u: len(partners.intersection(g.neighbors(u))))
+        near = _top(free[hub], half, lambda u: len(partners.intersection(adj[u])))
         # The hub's component of its group. Near vertices touch the hub, so
-        # all of them are in it; partners only through a path in the group.
-        comp = _bfs(g, {hub}, {hub} | near | partners)
+        # all of them are in it; the partners that touch the vertices that
+        # joined last join next, until none does.
+        comp = {hub} | near
+        joined = comp
+        left = partners - comp
+        while left and joined:
+            joined = left.intersection(chain.from_iterable(map(adj.__getitem__, joined)))
+            comp |= joined
+            left -= joined
         out = _bfs(g, comp, range(g.n), k)
         if emit is not None:
             emit("expand", seed=tuple(sorted(comp)), out=tuple(sorted(out)))
-        weight = sum(map(len, map(out.intersection, map(g.neighbors, out))))
+        weight = sum(map(out.__contains__, chain.from_iterable(map(up.__getitem__, out))))
         if weight > best_weight:
             best, best_weight = out, weight
     return _make_solution(g, best, "hub", k)

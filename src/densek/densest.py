@@ -212,6 +212,7 @@ def densest_subgraph(g: Graph) -> DensestResult:
     # 2(W - d(v))/(s - 1) > 2W/s  <=>  d(v) * s < W. The heap keeps one
     # entry per degree a vertex had; one that is no longer current is stale.
     size, weight = len(deg), sum(deg.values()) // 2
+    adj, weight_of = g._adj, g._weight_of
     heap = [(d, v) for v, d in deg.items()]
     heapify(heap)
     while heap:
@@ -223,8 +224,8 @@ def densest_subgraph(g: Graph) -> DensestResult:
         del deg[v]
         size -= 1
         weight -= d
-        for u in g.neighbors(v):
-            if u in deg and (w := g.edge_weight(u, v)):
+        for u in adj[v]:
+            if u in deg and (w := weight_of[(u, v) if u < v else (v, u)]):
                 deg[u] -= w
                 heappush(heap, (deg[u], u))
     witness, best = tuple(sorted(deg)), Fraction(2 * weight, size)

@@ -73,6 +73,13 @@ def _spread(state: int, stride: int, lanes: int) -> int:
     return packed
 
 
+def _require_probabilities(**values) -> None:
+    # A bool passes 0 <= p <= 1, and True would draw as p = 1.
+    for name, p in values.items():
+        if type(p) is bool:
+            raise ValueError(f"{name} must be a probability, not {p!r}")
+
+
 class Xorshift64Star:
     """xorshift64* generator.
 
@@ -90,6 +97,7 @@ class Xorshift64Star:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        _require_ints(seed=seed)
         self.state = (seed & _MASK) or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
@@ -98,6 +106,7 @@ class Xorshift64Star:
 
     def bernoulli(self, p: float) -> bool:
         """True with probability p: compares the top 53 bits to floor(p * 2^53)."""
+        _require_probabilities(p=p)
         return (self.next_u64() >> 11) < int(p * (1 << 53))
 
     def _successes(self, p: float, count: int) -> list[int]:
@@ -289,6 +298,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     _require_ints(n=n, seed=seed)
     if n < 1:
         raise ValueError("n must be positive")
+    _require_probabilities(p=p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     edges = _pairs(n, Xorshift64Star(seed)._successes(p, n * (n - 1) // 2))
@@ -320,6 +330,7 @@ def planted(n: int, k: int, p_in: float, p_out: float, seed: int) -> GapInstance
     _require_ints(n=n, k=k, seed=seed)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    _require_probabilities(p_in=p_in, p_out=p_out)
     for p in (p_in, p_out):
         if not 0.0 <= p <= 1.0:
             raise ValueError("probabilities must lie in [0, 1]")

@@ -9,19 +9,21 @@ is ``range(g.n)``, which every function takes as it takes a set. Density
 comparisons are exact rationals (`fractions.Fraction`); no float ever
 drives a decision.
 
-Every growth of a vertex set in the package to a vertex count, and every
-component, runs in one breadth-first order: the queue starts as the seed
-sorted by id, and each vertex's neighbours are taken in ascending id. That
-order fixes which vertices are added, and so the outputs of every solver.
-`_bfs` is that search, for components, is_connected, expand_to_k,
-j_attachment, prc1's half-sized seed and the hub scan. Two searches of
-their own run in the same order. prc2 grows its seed until the seed's
-blocks cover k/2 vertices, a weight `_bfs` does not count. The weighted
-greedy grows each star to k vertices and scores the set as it grows it: a
-vertex whose neighbour list the search read to the end needs no membership
-checks, and `_bfs` does not say which those are. The one other walk,
-`_view_degrees`, checks a view and counts its degrees; it adds no vertex
-to anything, so its order fixes no output.
+Every growth of a vertex set in the package to a vertex count runs in one
+breadth-first order: the queue starts as the seed sorted by id, and each
+vertex's neighbours are taken in ascending id. That order fixes which
+vertices are added, and so the outputs of every solver. `_bfs` is that
+search, for expand_to_k, j_attachment, prc1's half-sized seed and the hub
+scan's growth; components and is_connected use it too. A component is a
+set, so the order that finds it fixes no output: the hub scan closes each
+hub's component by set unions. Two searches of their own run in the same
+order. prc2 grows its seed until the seed's blocks cover k/2 vertices, a
+weight `_bfs` does not count. The weighted greedy grows each star to k
+vertices and scores the set as it grows it: a vertex whose neighbour list
+the search read to the end needs no membership checks, and `_bfs` does not
+say which those are. The one other walk, `_view_degrees`, checks a view
+and counts its degrees; it adds no vertex to anything, so its order fixes
+no output.
 """
 
 from __future__ import annotations
@@ -127,14 +129,22 @@ class Graph:
     def weighted(self) -> bool:
         return self.weights is not None
 
+    # The public queries check each id by the view rule, _member_set's: a
+    # plain int in 0..n-1, else ValueError. The package's own loops read
+    # _adj and _weight_of, so the checks cost no solve.
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _member_set(self, (v,))
         return self._adj[v]
 
     def degree(self, v: int) -> int:
+        _member_set(self, (v,))
         return len(self._adj[v])
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of edge uv (1 on unweighted graphs). Errors if absent."""
+        # one id at a time: a set of both would take (1, True) as {1}
+        _member_set(self, (u,))
+        _member_set(self, (v,))
         key = (u, v) if u < v else (v, u)
         try:
             return self._weight_of[key]
@@ -273,7 +283,8 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
     cuts: set[int] = set()
     counter = 1
     root_children = 0
-    frames = [(root, -1, iter(g.neighbors(root)))]
+    adj = g._adj
+    frames = [(root, -1, iter(adj[root]))]
     while frames:
         v, parent, it = frames[-1]
         pushed = False
@@ -288,7 +299,7 @@ def cut_vertices(g: Graph, within: Iterable[int] | None = None) -> tuple[int, ..
                 counter += 1
                 if v == root:
                     root_children += 1
-                frames.append((u, v, iter(g.neighbors(u))))
+                frames.append((u, v, iter(adj[u])))
                 pushed = True
                 break
         if not pushed:
@@ -341,12 +352,12 @@ def _bfs(g: Graph, seed: set[int], members, limit: int | None = None) -> set[int
     # queue starting sorted and neighbours taken in ascending id. It stops
     # once limit vertices are chosen (default: all of members), and a limit
     # it cannot reach is an error.
+    adj = g._adj
     chosen = set(seed)
     target = len(members) if limit is None else limit
     queue = deque(sorted(chosen))
     while queue and len(chosen) < target:
-        v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in adj[queue.popleft()]:
             if u in chosen or u not in members:
                 continue
             chosen.add(u)
@@ -425,7 +436,8 @@ def j_attachment(
     _member_set(g, sset)
     _check_range("j", j, 1, len(members) - len(sset))
     # Each vertex of the view with its neighbours in s, counted from s's side.
-    counts = Counter(u for v in sset for u in g.neighbors(v) if u in members)
+    adj = g._adj
+    counts = Counter(u for v in sset for u in adj[v] if u in members)
     picked = _top(counts.keys() - sset, j, counts.__getitem__)
     if len(picked) < j:
         picked = _bfs(g, sset | picked, members, len(sset) + j) - sset

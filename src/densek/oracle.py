@@ -79,6 +79,7 @@ def brute_k(
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     weighted = g.weighted
+    adj, weight_of = g._adj, g._weight_of
     best_set = None
     best_w = -1
     for combo in combinations(range(g.n), k):
@@ -90,9 +91,9 @@ def brute_k(
         w = 0
         if weighted:
             for v in combo:
-                for u in g.neighbors(v):
+                for u in adj[v]:
                     if u > v and (smask >> u) & 1:
-                        w += g.edge_weight(v, u)
+                        w += weight_of[v, u]
         else:
             for v in combo:
                 w += ((masks[v] & smask) >> v).bit_count()

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import densek.algorithms
@@ -19,6 +19,7 @@ from densek import (
     best_connected_k_subgraph,
     brute_k,
     density,
+    densest_subgraph,
     example1b,
     format_edge_list,
     gnp,
@@ -137,6 +138,14 @@ def hub_dropped_partner():
     so the hub's component {0, 1, 2, 3, 5} drops partner 6."""
     return with_degree5_core([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
                               (3, 5), (4, 6), (6, 7), (6, 8)])
+
+
+def hub_partner_through_partner():
+    """k = 6: hub_dropped_partner with the edge 5-6. Near is 1, 2 and 3 as
+    there; 6 touches neither them nor the hub, but touches partner 5, so
+    the component's closure takes 5 in one round and 6 in the next."""
+    return with_degree5_core([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
+                              (3, 5), (4, 6), (5, 6), (6, 7), (6, 8)])
 
 
 def three_sided_guard():
@@ -540,6 +549,15 @@ class TestAlg3:
         assert sol.vertices == (0, 1)
         assert sol.density == 1
 
+    @given(connected_graphs(min_n=3, max_n=14), st.data())
+    def test_shrinking_matches_the_checked_prc1(self, g, data):
+        # alg3 hands D*'s connected variant to prc1's core unchecked; the
+        # checked prc1 must accept that view and give the same vertices
+        dense = densest_subgraph(g).connected_variant
+        assume(len(dense) > 2)
+        k = 2 * data.draw(st.integers(1, (len(dense) - 1) // 2))
+        assert alg3(g, k).vertices == prc1(g, k, within=dense)
+
     def test_expansion_keeps_density_share_on_corpus(self):
         # expanding a connected set to k keeps all its edges, so the
         # density can drop by at most the size ratio
@@ -659,6 +677,7 @@ class TestHub:
             (hub_dropped_partner(), 6, (0, 1, 2, 3, 5)),
             (star(4), 2, (1,)),  # k = 2: no partners; the leaf's hub is taken
             (path(5), 2, (0,)),
+            (hub_partner_through_partner(), 6, (0, 1, 2, 3, 5, 6)),
         ],
     )
     def test_scan_matches_whole_graph_reference(self, g, k, hub0_component):
@@ -686,11 +705,16 @@ class TestHub:
         assert expand_log(events) == ref_log
 
     @pytest.mark.parametrize("fraction", [10, 5], ids=["k-n/10", "k-n/5"])
-    @pytest.mark.parametrize("n", [100, 150, 200, 250])
-    def test_benchmark_shape_matches_whole_graph_reference(self, n, fraction):
+    @pytest.mark.parametrize("n, p", [
+        *((n, 8 / n) for n in (100, 150, 200, 250)),
+        (60, 0.5),
+        (120, 0.2),
+    ], ids=["100", "150", "200", "250", "60-p0.5", "120-p0.2"])
+    def test_benchmark_shape_matches_whole_graph_reference(self, n, p, fraction):
         # gnp(n, 8/n), the auto-gnp benchmark's shape, at graph sizes the
-        # hypothesis graphs do not reach
-        g = gnp(n, 8 / n, n)
+        # hypothesis graphs do not reach; and dense shapes, where counts
+        # tie often and partners touch one another
+        g = gnp(n, p, n)
         k = n // fraction - n // fraction % 2
         ref_log = []
         with recording() as events:

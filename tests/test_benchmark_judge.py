@@ -1,4 +1,5 @@
-"""The benchmark's judge: quartiles of runs and the verdict on paired runs.
+"""The benchmark's judge: the per-solve percentiles of one run, quartiles
+of runs and the verdict on paired runs.
 
 perfbench/ is a directory of scripts, not a package, so its directory goes
 on sys.path, as it is for `python3 perfbench/run.py`.
@@ -13,6 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import results
+import run
 
 SEEDS = range(1, 11)
 
@@ -99,3 +101,45 @@ def test_compare_marks_more_failed_solves_worse(
     assert head == f"auto-gnp: failed {parent_failed} (parent) vs {change_failed} (change)"
     assert [row.split()[0] for row in rows] == names
     assert all(row.endswith(f" {verdict}") for row in rows)
+
+
+def finished_run(times, scales, ok):
+    """A Run past its timed loop, holding what end_to_end reads."""
+    done = run.Run.__new__(run.Run)
+    done.workload, done.seed = "auto-gnp", 1
+    done.times, done.scales, done.ok = times, scales, ok
+    done.setup_s = done.raw_setup_s = 0.5
+    done.wall_s, done.cpu_s = sum(times), sum(times)
+    done.instances, done.first_pass = [], []
+    done.density_gmean, done.digest = 1.0, "0" * 16
+    done.reference, done.failures = None, ["solve 5: made up"] * ok.count(False)
+    return done
+
+
+def test_end_to_end_percentiles_on_known_times(capsys):
+    # Solve i (1..11) ran i / scale seconds at a speed factor alternating
+    # 0.5 and 2, so it counts i seconds at reference speed. One more solve,
+    # at index 5, failed after 1000 s: it is left out of every figure.
+    scales = [0.5, 2.0] * 5 + [0.5]
+    times = [i / f for i, f in zip(range(1, 12), scales)]
+    times.insert(5, 1000.0)
+    scales.insert(5, 1.0)
+    ok = [True] * 12
+    ok[5] = False
+    metrics = finished_run(times, scales, ok).end_to_end()["metrics"]
+    capsys.readouterr()
+    # the median of 1..11; the 90th percentile at position 0.9 * 12 = 10.8,
+    # between the 10th and 11th values; 11 solves in 66 s
+    assert metrics["solve_s.p50"]["value"] == pytest.approx(6.0)
+    assert metrics["solve_s.p90"]["value"] == pytest.approx(10.8)
+    assert metrics["solves_per_s"]["value"] == pytest.approx(11 / 66)
+    assert metrics["setup_s"]["value"] == 0.5
+
+
+def test_end_to_end_with_every_solve_failed_reads_them_all(capsys):
+    # with no solve to keep, the figures come from every solve
+    times = [float(i) for i in range(1, 12)]
+    metrics = finished_run(times, [1.0] * 11, [False] * 11).end_to_end()["metrics"]
+    capsys.readouterr()
+    assert metrics["solve_s.p50"]["value"] == pytest.approx(6.0)
+    assert metrics["solves_per_s"]["value"] == pytest.approx(11 / 66)

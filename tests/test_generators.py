@@ -51,6 +51,19 @@ class TestPrng:
         assert not any(rng.bernoulli(0.0) for _ in range(50))
         assert all(rng.bernoulli(1.0) for _ in range(50))
 
+    @pytest.mark.parametrize("seed", [True, 1.5, 1.0, None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # True ran as seed 1, and 1.5 raised a TypeError from the mask
+        with pytest.raises(ValueError, match="^seed must be an int"):
+            Xorshift64Star(seed)
+
+    @pytest.mark.parametrize("p", [True, False])
+    def test_bernoulli_rejects_a_bool_probability(self, p):
+        rng = Xorshift64Star(7)
+        with pytest.raises(ValueError, match=f"^p must be a probability, not {p}$"):
+            rng.bernoulli(p)
+        assert rng.state == Xorshift64Star(7).state  # refused before the draw
+
     def test_next_below(self):
         rng = Xorshift64Star(3)
         draws = [rng.next_below(10) for _ in range(100)]
@@ -316,6 +329,13 @@ class TestGnp:
         with pytest.raises(ValueError, match=error):
             gnp(n, p, seed=1)
 
+    @pytest.mark.parametrize("p", [True, False])
+    def test_rejects_a_bool_probability(self, monkeypatch, p):
+        # True passed 0 <= p <= 1 and drew the complete graph
+        monkeypatch.setattr(densek.generators, "Xorshift64Star", None)
+        with pytest.raises(ValueError, match=f"^p must be a probability, not {p}$"):
+            gnp(10, p, 1)
+
     @pytest.mark.parametrize("n, seed, name", [
         (10.0, 1, "n"),
         (True, 1, "n"),
@@ -365,6 +385,15 @@ class TestPlanted:
     def test_rejects_bad_parameters(self, n, k, p_in, p_out, error):
         with pytest.raises(ValueError, match=error):
             planted(n, k, p_in, p_out, seed=1)
+
+    @pytest.mark.parametrize("p_in, p_out, name", [
+        (True, 0.1, "p_in"),
+        (0.5, False, "p_out"),
+    ])
+    def test_rejects_a_bool_probability(self, monkeypatch, p_in, p_out, name):
+        monkeypatch.setattr(densek.generators, "Xorshift64Star", None)
+        with pytest.raises(ValueError, match=f"^{name} must be a probability"):
+            planted(10, 4, p_in, p_out, 1)
 
     @pytest.mark.parametrize("n, k, seed, name", [
         (10.0, 3, 1, "n"),

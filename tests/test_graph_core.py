@@ -95,6 +95,31 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             path(3).edge_weight(0, 2)
 
+    # Each public query checks its ids by the view rule. Unchecked, -1 read
+    # the last vertex's row, True vertex 1's and 1.0 raised a TypeError.
+    @pytest.mark.parametrize("query", ["neighbors", "degree"])
+    @pytest.mark.parametrize("v, error", [
+        (-1, "unknown vertex -1"),
+        (3, "unknown vertex 3"),
+        (True, "vertex id True is not a plain integer"),
+        (1.0, "vertex id 1.0 is not a plain integer"),
+    ])
+    def test_vertex_query_refuses_a_bad_id(self, query, v, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            getattr(path(3), query)(v)
+
+    @pytest.mark.parametrize("u, v, error", [
+        (-1, 0, "unknown vertex -1"),
+        (0, 3, "unknown vertex 3"),
+        (True, 0, "vertex id True is not a plain integer"),
+        # a set of both ids would take (1, True) as {1} and pass
+        (1, True, "vertex id True is not a plain integer"),
+        (0, 1.0, "vertex id 1.0 is not a plain integer"),
+    ])
+    def test_edge_weight_refuses_a_bad_id(self, u, v, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            path(3).edge_weight(u, v)
+
     def test_equality(self):
         assert path(3) == Graph(3, [(1, 2), (0, 1)])
         assert path(3) != path(4)

@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     _bfs,
     _check_range,
+    _induced_weight,
     _member_set,
     _require_ints,
     _top,
@@ -82,9 +83,13 @@ def _make_solution(g: Graph, vertices: Iterable[int], name: str, k: int) -> Solu
         raise ValueError(f"unknown algorithm tag {name!r}")
     if len(vs) != k or len(set(vs)) != k:
         raise ValueError(f"expected {k} distinct vertices, got {vs}")
-    if not is_connected(g, vs):
+    # The ids are checked once; the search and the weight then trust them.
+    members = _member_set(g, vs)
+    if not vs or len(_bfs(g, {vs[0]}, members)) != k:
         raise ValueError("solution subgraph is not connected")
-    return Solution(vertices=vs, density=density(g, vs), algorithm=name.upper(), k=k)
+    weight = _induced_weight(g, members)
+    return Solution(vertices=vs, density=Fraction(2 * weight, k),
+                    algorithm=name.upper(), k=k)
 
 
 def _check_even_input(g: Graph, k: int) -> None:
@@ -430,7 +435,7 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     for hub in rest:
         # Walks hub - mid - v with mid and v outside H, counted locally.
         walks = Counter(chain.from_iterable(map(free.__getitem__, free[hub])))
-        del walks[hub]
+        walks.pop(hub, None)
         partners = _top(walks, half - 1, walks.__getitem__)
         near = _top(free[hub], half, lambda u: len(partners.intersection(adj[u])))
         # The hub's component of its group. Near vertices touch the hub, so

@@ -4,12 +4,17 @@ Feasibility of "is there a subgraph denser than num/den?" reduces to one
 max flow on Goldberg's network of n+2 nodes with integer capacities, so the
 search stays in exact arithmetic. No big constant M is needed: each vertex
 has only the part of its source or sink arc that is left once its direct
-source-vertex-sink path is saturated. Dinkelbach iteration raises the
-threshold to the density of each witness found; every step strictly
-increases it, and the first threshold with no witness is the optimum,
-certified by that cut. The smallest maximizer of 2*w(E(S)) - t*|S| shrinks
-as t rises (2*w(E(S)) is supermodular), so each flow runs only on the
-previous witness.
+source-vertex-sink path is saturated. Before Dinic runs, flow is also
+routed greedily from vertices with excess to vertices with deficit, first
+over one edge and then over two, through any middle vertex. That starting
+flow does not change the answer: every maximum flow leaves the same set of
+nodes reachable from the source, the source side of the smallest minimum
+cut, so the routing only spares Dinic augmenting paths. Dinkelbach
+iteration raises the threshold to the density of each witness found; every
+step strictly increases it, and the first threshold with no witness is the
+optimum, certified by that cut. The smallest maximizer of 2*w(E(S)) - t*|S|
+shrinks as t rises (2*w(E(S)) is supermodular), so each flow runs only on
+the previous witness.
 
 The first witness needs no flow. It is the set R left once removable
 vertices are deleted, the least weighted degree first, ties to the smaller
@@ -32,7 +37,7 @@ from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Iterable
 
-from .graph import Graph, _member_set, _weighted_degrees, components, density
+from .graph import Graph, _bfs, _member_set, _weighted_degrees, density
 
 
 def _residual_source_side(
@@ -121,6 +126,14 @@ def has_subgraph_denser_than(
     graph picks the smallest such set: the smallest maximizer of
     2*den*w(E(S)) - num*|S|.
 
+    Two pre-saturations give Dinic a flow to start from: each excess vertex
+    i sends what it can straight to deficit neighbours j, over source-i-j-
+    sink, and then through one middle vertex x, over source-i-x-j-sink,
+    with the reverse arcs credited so that Dinic can undo any of it. The
+    set reachable from the source in the residual graph of a maximum flow
+    is the same for every maximum flow, so the side returned does not
+    depend on the flow the network starts from.
+
     As 2*w(E(S)) is supermodular, every maximizer at a higher threshold
     lies inside that set, so a search at a higher threshold within it
     returns what a search on all of g would.
@@ -151,7 +164,8 @@ def has_subgraph_denser_than(
             wdeg[v] += w
     # Each vertex's direct source-v-sink path is saturated up front, leaving
     # its excess as a source arc (positive) or a sink arc (negative); so is
-    # each source-u-v-sink path through one edge from an excess to a deficit.
+    # each source-i-j-sink path through one edge from an excess to a
+    # deficit, and then each source-i-x-j-sink path through two.
     excess = [den * d - num for d in wdeg]
     for e in range(0, len(to), 2):
         j, i = to[e], to[e + 1]
@@ -164,6 +178,39 @@ def has_subgraph_denser_than(
         cap[e ^ 1] += f
         excess[i] -= f
         excess[j] += f
+    # An arc x-j is passed over once it is full or j has no deficit left,
+    # and x's scan resumes at spent[x], so the loop reads each arc about
+    # once. A passed arc that later regains capacity is left to Dinic.
+    spent = [0] * g.n
+    for i in members:
+        if excess[i] <= 0:
+            continue
+        for e in head[i]:
+            if not cap[e]:
+                continue
+            mid = to[e]
+            row = head[mid]
+            p, bound = spent[mid], len(row)
+            while p < bound:
+                e2 = row[p]
+                j = to[e2]
+                if excess[j] < 0 and cap[e2]:
+                    f = min(excess[i], -excess[j], cap[e], cap[e2])
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                    cap[e2] -= f
+                    cap[e2 ^ 1] += f
+                    excess[i] -= f
+                    excess[j] += f
+                    if not excess[j] or not cap[e2]:
+                        p += 1
+                    if not excess[i] or not cap[e]:
+                        break
+                else:
+                    p += 1
+            spent[mid] = p
+            if not excess[i]:
+                break
     for i in members:
         x = excess[i]
         if x > 0:
@@ -231,5 +278,5 @@ def densest_subgraph(g: Graph) -> DensestResult:
     witness, best = tuple(sorted(deg)), Fraction(2 * weight, size)
     while (found := has_subgraph_denser_than(g, best, within=witness)) is not None:
         witness, best = found, density(g, found)
-    connected = components(g, witness)[0]
+    connected = tuple(sorted(_bfs(g, {witness[0]}, set(witness))))
     return DensestResult(subgraph=witness, density=best, connected_variant=connected)

@@ -14,7 +14,8 @@ breadth-first order: the queue starts as the seed sorted by id, and each
 vertex's neighbours are taken in ascending id. That order fixes which
 vertices are added, and so the outputs of every solver. `_bfs` is that
 search, for expand_to_k, j_attachment, prc1's half-sized seed and the hub
-scan's growth; components and is_connected use it too. A component is a
+scan's growth; components, is_connected, the solution gate and the
+densest subgraph's connected variant use it too. A component is a
 set, so the order that finds it fixes no output: the hub scan closes each
 hub's component by set unions. Two searches of their own run in the same
 order. prc2 grows its seed until the seed's blocks cover k/2 vertices, a
@@ -214,7 +215,11 @@ def induced_weight(g: Graph, s: Iterable[int] | None = None) -> int:
     s is a view like any other: None is the whole graph, a repeated id
     counts once, and an id outside 0..n-1 raises ValueError.
     """
-    members = _member_set(g, s)
+    return _induced_weight(g, _member_set(g, s))
+
+
+def _induced_weight(g: Graph, members: set[int] | range) -> int:
+    # induced_weight on a view _member_set has already checked.
     weight_of = g._weight_of
     adj = g._adj
     total = 0
@@ -231,7 +236,7 @@ def density(g: Graph, s: Iterable[int] | None = None) -> Fraction:
     members = _member_set(g, s)
     if not members:
         raise ValueError("empty subgraph has no density")
-    return Fraction(2 * induced_weight(g, members), len(members))
+    return Fraction(2 * _induced_weight(g, members), len(members))
 
 
 def components(g: Graph, s: Iterable[int] | None = None) -> list[tuple[int, ...]]:
@@ -355,6 +360,10 @@ def _bfs(g: Graph, seed: set[int], members, limit: int | None = None) -> set[int
     adj = g._adj
     chosen = set(seed)
     target = len(members) if limit is None else limit
+    # A seed that already holds the target is returned as it is, with no
+    # queue sorted: the hub scan's closed group often has k vertices.
+    if len(chosen) >= target:
+        return chosen
     queue = deque(sorted(chosen))
     while queue and len(chosen) < target:
         for u in adj[queue.popleft()]:

@@ -1,5 +1,6 @@
 """The approximation suite: frozen traces, guarantees, and contracts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from helpers import (
     bridged,
     clique_chain,
     complete,
+    components_reference,
     connected_corpus,
     contraction_reference,
     cycle,
@@ -208,6 +210,25 @@ class TestLocalCutTest:
         view = set(range(g.n))
         assert cut_vertices(g) == cuts
         assert tuple(v for v in range(g.n) if _is_cut_vertex(g, view, v)) == cuts
+
+    def test_whole_view_articulation_matches_union_find(self):
+        # an independent reference for cut_vertices, which the test above
+        # takes as truth: v cuts a connected view exactly when the
+        # union-find components of the view without v are more than one
+        rng = Xorshift64Star(31)
+        views_seen = 0
+        for g in connected_corpus(25, max_n=14, seed0=733):
+            views = [set(range(g.n))]
+            for _ in range(4):
+                keep = {v for v in range(g.n) if rng.next_below(4)}
+                views += [set(c) for c in components_reference(g, keep) if len(c) > 1]
+            for view in views:
+                ids = sorted(view)
+                cuts = tuple(v for v in ids if len(components_reference(g, view - {v})) > 1)
+                assert cut_vertices(g, within=view) == cuts
+                assert tuple(v for v in ids if _is_cut_vertex(g, view, v)) == cuts
+            views_seen += len(views)
+        assert views_seen > 100
 
     def test_small_side_ends_the_search(self):
         # guard 31 joins the triangle {30, 31, 32} to a K30 through vertex 0:
@@ -689,6 +710,23 @@ class TestHub:
         assert log == ref_log
         assert log[0][0] == hub0_component
 
+    @pytest.mark.parametrize("g, k", [
+        (cycle(6), 4),  # hub 3: near 2 and 4, partner 5 through 4
+        (hub_tied_near(), 6),
+        (gnp(60, 0.1, 7), 6),
+    ], ids=["cycle6", "tied-near", "gnp60"])
+    def test_a_group_of_k_vertices_is_taken_as_it_is(self, g, k):
+        # a hub's closed group can hold k vertices already: one hub, up to
+        # k/2 near vertices and k/2 - 1 partners; its growth returns the
+        # group at once, with the answer and events the reference gives
+        ref_log = []
+        with recording() as events:
+            sol = alg5_hub(g, k)
+        assert sol == alg5_hub_reference(g, k, ref_log)
+        log = expand_log(events)
+        assert log == ref_log
+        assert any(len(seed) == k and seed == out for seed, out in log)
+
     @given(
         st.one_of(
             connected_graphs(min_n=2, max_n=24, max_extra=8),
@@ -1023,6 +1061,26 @@ class TestSolutionRecords:
                 _make_solution(g, vertices, "alg1", 3)
         with pytest.raises(ValueError, match="not connected"):
             _make_solution(g, [0, 1, 4], "alg1", 3)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([0, 1, 2.0], "vertex id 2.0 is not a plain integer"),
+        ([0, 1, 99], "unknown vertex 99"),
+        # True is 1 in a set, so the count check sees two vertices first
+        ([0, 1, True], "expected 3 distinct vertices"),
+    ], ids=["float", "unknown", "bool"])
+    def test_validity_gate_refuses_bad_ids(self, vertices, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _make_solution(k4p(), vertices, "alg1", 3)
+
+    def test_validity_gate_checks_in_order(self):
+        # the tag, then the count, then the ids, then connectivity
+        g = k4p()
+        with pytest.raises(ValueError, match="unknown algorithm tag"):
+            _make_solution(g, [0, 1, 99], "nope", 3)
+        with pytest.raises(ValueError, match="expected 3 distinct vertices"):
+            _make_solution(g, [0, 2.0, 2.0], "alg1", 3)
+        with pytest.raises(ValueError, match="unknown vertex 99"):
+            _make_solution(g, [0, 4, 99], "alg1", 3)
 
 
 class TestSuiteProperties:

@@ -215,10 +215,40 @@ def small_graphs():
 
 
 @st.composite
-def graph_subset_thresholds(draw):
+def path_rich_graphs(draw):
+    """Stars, complete bipartite graphs and cliques with pendant paths, ids
+    shuffled, weighted or not: graphs where much of the excess can reach a
+    deficit only through a middle vertex."""
+    kind = draw(st.sampled_from(("star", "bipartite", "clique")))
+    if kind == "star":
+        n = draw(st.integers(2, 10))
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "bipartite":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        n = a + b
+        edges = [(u, a + v) for u in range(a) for v in range(b)]
+    else:
+        size = draw(st.integers(2, 5))
+        n = size
+        edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        for length in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            end = draw(st.integers(0, size - 1))
+            for v in range(n, n + length):
+                edges.append((end, v))
+                end = v
+            n += length
+    ids = draw(st.permutations(range(n)))
+    edges = [(min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in edges]
+    weights = draw(st.none() | st.lists(st.integers(0, 4), min_size=len(edges),
+                                        max_size=len(edges)))
+    return Graph(n, edges, weights)
+
+
+@st.composite
+def graph_subset_thresholds(draw, graphs=small_graphs()):
     """(g, s, thresholds): a nonempty vertex set s of g, and thresholds 0,
     the densities of random subsets of s, and those densities +-1/n**2."""
-    g = draw(small_graphs())
+    g = draw(graphs)
     s = sorted(draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
     thresholds = {Fraction(0)}
     step = Fraction(1, g.n**2)
@@ -249,6 +279,18 @@ class TestAgainstReference:
             expected = None if found is None else tuple(ids[i] for i in found)
             assert has_subgraph_denser_than(g, t, within=s) == expected
 
+    @given(graph_subset_thresholds(path_rich_graphs()), st.booleans())
+    def test_path_rich_queries_match(self, case, masked):
+        # in a star or a biclique, a vertex reaches most others only over
+        # two edges, which the pre-saturation before Dinic routes
+        g, s, thresholds = case
+        within = s if masked else None
+        h, ids = induced(g, s) if masked else (g, range(g.n))
+        for t in thresholds:
+            found = has_subgraph_denser_than_reference(h, t)
+            expected = None if found is None else tuple(ids[i] for i in found)
+            assert has_subgraph_denser_than(g, t, within=within) == expected
+
     @given(small_graphs())
     def test_densest_subgraph_matches(self, g):
         try:
@@ -268,6 +310,17 @@ class TestAgainstReference:
         for t in (Fraction(32, 7), Fraction(3207, 700)):
             assert has_subgraph_denser_than_reference(g, t) == (0, 2, 3, 4, 5, 7)
             assert has_subgraph_denser_than(g, t) == (0, 2, 3, 4, 5, 7)
+
+    def test_flow_undoes_part_of_a_presaturated_two_edge_path(self):
+        # found by random search: the max flow must push back over a path
+        # source-i-x-j-sink that the network build has already filled, so a
+        # build that did not credit the path's reverse arcs loses vertex 5
+        g = Graph(8, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (2, 4), (2, 5),
+                      (2, 6), (3, 5), (4, 6), (4, 7)],
+                  [0, 0, 1, 2, 4, 8, 4, 5, 1, 1, 3])
+        for t in (Fraction(9), Fraction(91, 10)):
+            assert has_subgraph_denser_than_reference(g, t) == (0, 2, 4, 5, 6, 7)
+            assert has_subgraph_denser_than(g, t) == (0, 2, 4, 5, 6, 7)
 
     def test_each_flow_runs_within_the_previous_witness(self, monkeypatch):
         # the loop calls the module global, so a tracer wrapped around it

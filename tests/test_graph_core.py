@@ -533,6 +533,7 @@ class TestWholeGraphView:
 class TestViewIds:
     CALLS = {
         "density": lambda g, view: density(g, view),
+        "induced_weight": lambda g, view: induced_weight(g, view),
         "components": lambda g, view: components(g, view),
         "is_connected": lambda g, view: is_connected(g, view),
         "expand_to_k": lambda g, view: expand_to_k(g, [0], 3, within=view),

@@ -412,14 +412,17 @@ def alg5_hub(g: Graph, k: int) -> Solution:
     of neighbours among the partners; both rankings break ties toward the
     smaller id. The hub's component of that group is closed by set unions:
     every near vertex touches the hub, and a partner joins once it touches
-    the component. Its growth to k vertices in the whole graph comes from
-    the breadth-first search that expand_to_k uses. The candidate with the
-    most induced edges wins, each edge counted once from its smaller end;
-    ties keep the earliest hub. Per hub the work is local: its two-step
-    neighbourhood outside H and the growth to k, never a whole-graph pass.
-    The scan reads Graph's neighbour tuples. Its per-call tables are H, the
-    vertices outside H, their neighbour lists with H removed, and up, each
-    vertex's larger neighbours: O(n + m) memory in all.
+    the component. A hub with at most k/2 neighbours outside H needs no
+    search: all of them are near, and each partner's walk runs through one,
+    so the component is the whole group. Its growth to k vertices in the
+    whole graph comes from the breadth-first search that expand_to_k uses.
+    The candidate with the most induced edges wins, each edge counted once
+    from its smaller end; ties keep the earliest hub. Per hub the work is
+    local: its two-step neighbourhood outside H and the growth to k, never a
+    whole-graph pass. The scan reads Graph's neighbour tuples. Its per-call
+    tables are H, the vertices outside H, their neighbour lists with H
+    removed, and up, each vertex's larger neighbours: O(n + m) memory in
+    all.
     """
     emit = trace
     _check_even_input(g, k)
@@ -439,15 +442,21 @@ def alg5_hub(g: Graph, k: int) -> Solution:
         partners = _top(walks, half - 1, walks.__getitem__)
         near = _top(free[hub], half, lambda u: len(partners.intersection(adj[u])))
         # The hub's component of its group. Near vertices touch the hub, so
-        # all of them are in it; the partners that touch the vertices that
-        # joined last join next, until none does.
+        # all of them are in it.
         comp = {hub} | near
-        joined = comp
-        left = partners - comp
-        while left and joined:
-            joined = left.intersection(chain.from_iterable(map(adj.__getitem__, joined)))
-            comp |= joined
-            left -= joined
+        if len(free[hub]) <= half:
+            # Every free neighbour is near, and a partner's walk runs
+            # through one of them, so every partner touches the component.
+            comp |= partners
+        else:
+            # The partners that touch the vertices that joined last join
+            # next, until none does.
+            joined = comp
+            left = partners - comp
+            while left and joined:
+                joined = left.intersection(chain.from_iterable(map(adj.__getitem__, joined)))
+                comp |= joined
+                left -= joined
         out = _bfs(g, comp, range(g.n), k)
         if emit is not None:
             emit("expand", seed=tuple(sorted(comp)), out=tuple(sorted(out)))

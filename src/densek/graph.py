@@ -17,14 +17,16 @@ search, for expand_to_k, j_attachment, prc1's half-sized seed and the hub
 scan's growth; components, is_connected, the solution gate and the
 densest subgraph's connected variant use it too. A component is a
 set, so the order that finds it fixes no output: the hub scan closes each
-hub's component by set unions. Two searches of their own run in the same
-order. prc2 grows its seed until the seed's blocks cover k/2 vertices, a
-weight `_bfs` does not count. The weighted greedy grows each star to k
-vertices and scores the set as it grows it: a vertex whose neighbour list
-the search read to the end needs no membership checks, and `_bfs` does not
-say which those are. The one other walk, `_view_degrees`, checks a view
-and counts its degrees; it adds no vertex to anything, so its order fixes
-no output.
+hub's component by set unions, and takes the whole group with no search
+when the hub has at most k/2 neighbours outside the high-degree set,
+since each partner then touches one of them. Two searches of their own
+run in the same order. prc2 grows its seed until the seed's blocks cover
+k/2 vertices, a weight `_bfs` does not count. The weighted greedy grows
+each star to k vertices and scores the set as it grows it: a vertex whose
+neighbour list the search read to the end needs no membership checks, and
+`_bfs` does not say which those are. The one other walk, `_view_degrees`,
+checks a view and counts its degrees; it adds no vertex to anything, so
+its order fixes no output.
 """
 
 from __future__ import annotations

@@ -528,13 +528,11 @@ def components_reference(g, s):
     return sorted(map(tuple, groups.values()))
 
 
-def alg5_hub_reference(g, k, expansion_log=None):
-    """alg5_hub's scan as it was, with whole-graph work per candidate hub.
-
-    The reference for the hub scan: global walk2_counts and partner lists,
-    components of every group, expand_to_k and induced_weight per hub.
-    Expects valid input (connected, unweighted, even k).
-    """
+def hub_groups_reference(g, k):
+    """alg5_hub_reference's group per candidate hub, in scan order, as
+    (hub, number of the hub's neighbours outside H, group, the hub's
+    component of the group). Expects valid input (connected, unweighted,
+    even k)."""
     half = k // 2
     hubs = set(highest_degree_vertices_reference(g, half))
     rest = [v for v in range(g.n) if v not in hubs]
@@ -544,8 +542,6 @@ def alg5_hub_reference(g, k, expansion_log=None):
     for (u, v), c in walks.items():
         partners_of[u].append((v, c))
         partners_of[v].append((u, c))
-    best = None
-    best_weight = -1
     for hub in rest:
         ranked = sorted(partners_of[hub], key=lambda t: (-t[1], t[0]))
         partners = set(u for u, _ in ranked[: half - 1])
@@ -553,6 +549,19 @@ def alg5_hub_reference(g, k, expansion_log=None):
         near.sort(key=lambda u: (-sum(1 for x in g.neighbors(u) if x in partners), u))
         group = {hub} | partners | set(near[: min(len(near), half)])
         comp = next(c for c in components(g, group) if hub in c)
+        yield hub, len(near), group, comp
+
+
+def alg5_hub_reference(g, k, expansion_log=None):
+    """alg5_hub's scan as it was, with whole-graph work per candidate hub.
+
+    The reference for the hub scan: global walk2_counts and partner lists,
+    components of every group, expand_to_k and induced_weight per hub.
+    Expects valid input (connected, unweighted, even k).
+    """
+    best = None
+    best_weight = -1
+    for _, _, _, comp in hub_groups_reference(g, k):
         out = expand_to_k(g, comp, k)
         if expansion_log is not None:
             expansion_log.append((comp, out))

@@ -55,6 +55,7 @@ from helpers import (
     fields_of,
     hairy_clique,
     highest_degree_vertices_reference,
+    hub_groups_reference,
     is_removable,
     k4p,
     path,
@@ -727,6 +728,25 @@ class TestHub:
         assert log == ref_log
         assert any(len(seed) == k and seed == out for seed, out in log)
 
+    @pytest.mark.parametrize("n, p, seed", [
+        (24, 0.2, 67),
+        (20, 0.25, 81),
+        (20, 0.25, 0),
+    ], ids=["answer-24", "answer-20", "events-20"])
+    def test_a_hub_with_many_free_neighbours_can_drop_a_partner(self, n, p, seed):
+        # gnp graphs found by search: at k = 6 a hub with more than k/2
+        # neighbours outside H leaves a partner out of its component. A scan
+        # that joined every partner would change the answer on the first two
+        # graphs and only the expand events on the third.
+        g, k = gnp(n, p, seed), 6
+        assert any(free > k // 2 and comp != group
+                   for _, free, group, comp in hub_groups_reference(g, k))
+        ref_log = []
+        with recording() as events:
+            sol = alg5_hub(g, k)
+        assert sol == alg5_hub_reference(g, k, ref_log)
+        assert expand_log(events) == ref_log
+
     @given(
         st.one_of(
             connected_graphs(min_n=2, max_n=24, max_extra=8),
@@ -759,6 +779,20 @@ class TestHub:
             sol = alg5_hub(g, k)
         assert sol == alg5_hub_reference(g, k, ref_log)
         assert expand_log(events) == ref_log
+
+    @pytest.mark.parametrize("n", [100, 150, 200, 250])
+    def test_benchmark_shape_runs_both_component_branches(self, n):
+        # The scan takes a hub's component without a search when the hub has
+        # at most k/2 neighbours outside H, and searches otherwise. Each
+        # auto-gnp shape of the test above (gnp(n, 8/n) at k = n/10) has
+        # hubs of both kinds, so its reference comparison runs both
+        # branches. The other shapes there have one kind only, or a few
+        # hubs of the other: at k = n/5 the sparse ones from n = 150 have
+        # only the first kind, and at k = n/10 the dense ones only the second.
+        g = gnp(n, 8 / n, n)
+        k = n // 10 - n // 10 % 2
+        free = [count for _, count, _, _ in hub_groups_reference(g, k)]
+        assert min(free) <= k // 2 < max(free)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):

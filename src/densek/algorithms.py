@@ -488,17 +488,19 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
     _check_range("k", k, 1, g.n)
     if not is_connected(g):
         raise ValueError("input graph must be connected")
-    adj = g._adj
-    weight_of = g._weight_of
+    adj, wadj = g._adj, g._wadj
     wdeg = _weighted_degrees(g)
     best = None
     best_twice = -1
     for center in range(g.n):
         row = adj[center]
-        chosen = _top(
-            row, k - 1,
-            lambda u: weight_of[center, u] if center < u else weight_of[u, center],
-        )
+        if len(row) < k:
+            chosen = set(row)
+        else:
+            # The star ranks positions in the row by weight: the row is
+            # sorted, so ties by position are ties by id.
+            top = _top(range(len(row)), k - 1, wadj[center].__getitem__)
+            chosen = set(map(row.__getitem__, top))
         chosen.add(center)
         # order is the search's queue, popped and not: order[:scanned] are
         # the members whose neighbour lists were scanned to the end.
@@ -523,9 +525,10 @@ def weighted_greedy(g: Graph, k: int) -> Solution:
             continue
         twice = sum(map(wdeg.__getitem__, order[:scanned]))
         for x in order[scanned:]:
-            for u in adj[x]:
+            weights = wadj[x]
+            for i, u in enumerate(adj[x]):
                 if u in chosen:
-                    twice += weight_of[x, u] if x < u else weight_of[u, x]
+                    twice += weights[i]
         if twice > best_twice:
             best, best_twice = chosen, twice
     return _make_solution(g, best, "wgreedy", k)

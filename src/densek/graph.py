@@ -31,6 +31,7 @@ its order fixes no output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, repeat
@@ -62,9 +63,15 @@ class Graph:
     package (BFS visits neighbors in ascending id). The first invalid edge
     in input order, a non-pair included, raises EdgeError, a ValueError with
     its 0-based position; weights, when given, take one per edge.
+
+    Edge weights are kept as rows beside the adjacency: ``_wadj[v][i]`` is
+    the weight of the edge from v to ``_adj[v][i]``, so a loop over a row
+    reads an edge's weight by its position and builds no edge key. An
+    unweighted graph shares one all-ones row per distinct degree and so
+    holds no weight per edge.
     """
 
-    __slots__ = ("n", "edges", "weights", "_adj", "_weight_of", "_connected")
+    __slots__ = ("n", "edges", "weights", "_adj", "_wadj", "_connected")
 
     def __init__(
         self,
@@ -116,12 +123,22 @@ class Graph:
             adj[v].append(u)
         self.n = n
         self.edges = tuple(norm)
-        self.weights = None if weights is None else tuple(map(weight_of.get, norm))
         # Already sorted: the edges come in ascending (u, v) order, so each
         # vertex gets its smaller neighbours first, ascending (as the v of
         # an edge), then its larger ones, ascending (as the u).
         self._adj = tuple(map(tuple, adj))
-        self._weight_of = weight_of
+        if weights is None:
+            self.weights = None
+            ones = {d: (1,) * d for d in set(map(len, adj))}
+            self._wadj = tuple(map(ones.__getitem__, map(len, adj)))
+        else:
+            # filled in the order the adjacency rows were
+            self.weights = tuple(map(weight_of.__getitem__, norm))
+            wadj: list[list[int]] = [[] for _ in range(n)]
+            for (u, v), w in zip(norm, self.weights):
+                wadj[u].append(w)
+                wadj[v].append(w)
+            self._wadj = tuple(map(tuple, wadj))
         self._connected = None  # is_connected(self), computed on first use
 
     @property
@@ -134,7 +151,7 @@ class Graph:
 
     # The public queries check each id by the view rule, _member_set's: a
     # plain int in 0..n-1, else ValueError. The package's own loops read
-    # _adj and _weight_of, so the checks cost no solve.
+    # _adj and _wadj, so the checks cost no solve.
     def neighbors(self, v: int) -> tuple[int, ...]:
         _member_set(self, (v,))
         return self._adj[v]
@@ -148,11 +165,11 @@ class Graph:
         # one id at a time: a set of both would take (1, True) as {1}
         _member_set(self, (u,))
         _member_set(self, (v,))
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._weight_of[key]
-        except KeyError:
-            raise ValueError(f"no edge {u}-{v}") from None
+        row = self._adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            raise ValueError(f"no edge {u}-{v}")
+        return self._wadj[u][i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -204,11 +221,7 @@ def _check_range(name: str, value, low: int, high: int) -> None:
 def _weighted_degrees(g: Graph) -> list[int]:
     # Each vertex's summed edge weights over the whole graph, the one count
     # of them in the package.
-    wdeg = [0] * g.n
-    for (u, v), w in g._weight_of.items():
-        wdeg[u] += w
-        wdeg[v] += w
-    return wdeg
+    return list(map(sum, g._wadj))
 
 
 def induced_weight(g: Graph, s: Iterable[int] | None = None) -> int:
@@ -222,14 +235,14 @@ def induced_weight(g: Graph, s: Iterable[int] | None = None) -> int:
 
 def _induced_weight(g: Graph, members: set[int] | range) -> int:
     # induced_weight on a view _member_set has already checked.
-    weight_of = g._weight_of
-    adj = g._adj
+    adj, wadj = g._adj, g._wadj
     total = 0
     for v in members:
-        for u in adj[v]:
-            # (v, u) with v < u is the key the edge is stored under
+        # each edge once, from its smaller end
+        weights = wadj[v]
+        for i, u in enumerate(adj[v]):
             if u > v and u in members:
-                total += weight_of[v, u]
+                total += weights[i]
     return total
 
 

@@ -79,7 +79,7 @@ def brute_k(
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     weighted = g.weighted
-    adj, weight_of = g._adj, g._weight_of
+    adj, wadj = g._adj, g._wadj
     best_set = None
     best_w = -1
     for combo in combinations(range(g.n), k):
@@ -91,9 +91,10 @@ def brute_k(
         w = 0
         if weighted:
             for v in combo:
-                for u in adj[v]:
+                weights = wadj[v]
+                for i, u in enumerate(adj[v]):
                     if u > v and (smask >> u) & 1:
-                        w += weight_of[v, u]
+                        w += weights[i]
         else:
             for v in combo:
                 w += ((masks[v] & smask) >> v).bit_count()

@@ -1,5 +1,6 @@
 """Exact densest-subgraph engine against the brute-force oracle."""
 
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -412,3 +413,36 @@ class TestWithinMask:
         assert has_subgraph_denser_than(g, 2, within=range(g.n)) == (0, 1, 2, 3)
         assert has_subgraph_denser_than(g, Fraction(3, 2), within=[1, 2, 3, 4]) == (1, 2, 3, 4)
         assert has_subgraph_denser_than(g, 2, within=[1, 2, 3, 4]) is None
+
+
+class TestFlowCost:
+    """The flow's two-edge pass reads each arc about once."""
+
+    def test_two_dense_clusters_cost_linear_work(self):
+        # Two dense clusters joined by five edges: excess in one cluster
+        # cannot reach a deficit in two steps, so a pass that rescanned each
+        # middle vertex's row from its start, with no resume pointer spent,
+        # would do sum(deg^2) work. The work is counted as the lines that
+        # has_subgraph_denser_than runs, every call of densest_subgraph
+        # included: 38.0 an edge here (400 vertices, 19,941 edges), 747
+        # without spent, so the ceiling of 60 has a margin of 12.
+        a, b = gnp(200, 0.6, 11), gnp(200, 0.4, 12)
+        edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+        g = Graph(a.n + b.n, edges + [(i, a.n + i) for i in range(5)])
+        code = densek.densest.has_subgraph_denser_than.__code__
+        lines = 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+        try:
+            densest_subgraph(g)
+        finally:
+            sys.settrace(previous)
+        assert g.m == 19941
+        assert lines <= 60 * g.m, f"{lines / g.m:.1f} lines an edge"

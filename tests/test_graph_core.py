@@ -1,5 +1,7 @@
+import gc
 import os
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -16,6 +18,7 @@ from densek import (
     alg5_hub,
     best_connected_k_subgraph,
     brute_k,
+    gnp,
     run_named_algorithm,
     weighted_greedy,
 )
@@ -94,6 +97,36 @@ class TestGraphBasics:
     def test_missing_edge_weight_errors(self):
         with pytest.raises(ValueError):
             path(3).edge_weight(0, 2)
+
+    # edge_weight finds v in u's sorted row. Vertex 0's row is (1, 3, 4),
+    # its edge to 1 weighs 0 on the weighted graph, and vertex 5 has no
+    # neighbours.
+    EDGES = [(0, 4), (1, 2), (3, 0), (4, 3), (0, 1)]
+
+    @pytest.fixture(params=[None, [7, 2, 5, 3, 0]], ids=["unweighted", "weighted"])
+    def rows_graph(self, request):
+        return Graph(6, self.EDGES, request.param)
+
+    def test_edge_weight_reads_every_edge_from_both_ends(self, rows_graph):
+        # the edges include both ends of vertex 0's row, and a zero-weight
+        # edge is an edge, not "no edge"
+        g = rows_graph
+        assert g.neighbors(0) == (1, 3, 4)
+        for (u, v), w in zip(g.edges, g.weights or repeat(1)):
+            assert g.edge_weight(u, v) == g.edge_weight(v, u) == w
+        assert g.edge_weight(0, 1) == (0 if g.weighted else 1)
+
+    @pytest.mark.parametrize("u, v", [
+        (2, 2),  # u == v
+        (0, 2),  # between the row's first and last neighbour
+        (0, 5),  # past the row's last neighbour
+        (2, 0),  # before the row's first neighbour
+        (5, 0),  # from a vertex with no neighbours
+        (5, 5),
+    ])
+    def test_edge_weight_of_no_edge_errors(self, rows_graph, u, v):
+        with pytest.raises(ValueError, match=f"^no edge {u}-{v}$"):
+            rows_graph.edge_weight(u, v)
 
     # Each public query checks its ids by the view rule. Unchecked, -1 read
     # the last vertex's row, True vertex 1's and 1.0 raised a TypeError.
@@ -210,6 +243,30 @@ class TestGraphBasics:
             Graph(2, [(0, 1)], [0.5])
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], [1, 2])
+
+
+class TestMemory:
+    # tracemalloc over a built gnp(200, 0.3, 7), 5,928 edges, in a fresh
+    # process: 91.5 bytes an edge with weight rows beside the adjacency,
+    # 138.1 with a weight dict keyed by edge. The ceiling is about 1.25
+    # times the first figure.
+    BYTES_PER_EDGE = 114
+
+    def test_an_unweighted_graph_holds_no_weight_per_edge(self):
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = gnp(200, 0.3, 7)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert g.m == 5928
+        assert held <= self.BYTES_PER_EDGE * g.m, f"{held / g.m:.1f} bytes an edge"
 
 
 class TestDensity:

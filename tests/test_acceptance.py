@@ -96,8 +96,8 @@ def test_criterion_02_attachment_edge_share():
 def test_criterion_03_contraction_seed_window():
     # every contraction run rebuilds a block set of between k/2 and k
     # vertices; observed through the peeling algorithm's prc2 events on
-    # instances that force the handover, with the runtime asserts live as a
-    # second net
+    # instances that force the handover; prc2's own checks, which raise
+    # RuntimeError even under python -O, are a second net
     observed: list[tuple[int, int]] = []
     instances = [
         (barbell(6, 6), 10),

@@ -283,7 +283,7 @@ class TestAgainstReference:
     @given(graph_subset_thresholds(path_rich_graphs()), st.booleans())
     def test_path_rich_queries_match(self, case, masked):
         # in a star or a biclique, a vertex reaches most others only over
-        # two edges, which the pre-saturation before Dinic routes
+        # two edges, which the routing pass before Dinic reaches
         g, s, thresholds = case
         within = s if masked else None
         h, ids = induced(g, s) if masked else (g, range(g.n))
@@ -304,24 +304,33 @@ class TestAgainstReference:
 
     def test_flow_undoes_part_of_a_presaturated_path(self):
         # found by random search, rarer than the draws above reach: the max
-        # flow must push back over an edge on which the network build has
-        # already routed excess to a deficit vertex
-        g = Graph(10, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 5), (2, 7), (3, 4),
-                       (4, 6), (5, 7), (8, 9)], [1, 2, 0, 2, 4, 4, 4, 0, 2, 2])
-        for t in (Fraction(32, 7), Fraction(3207, 700)):
-            assert has_subgraph_denser_than_reference(g, t) == (0, 2, 3, 4, 5, 7)
-            assert has_subgraph_denser_than(g, t) == (0, 2, 3, 4, 5, 7)
+        # flow must push back over an edge on which the routing pass has
+        # already sent excess straight to a deficit vertex, so a pass that
+        # did not credit that edge's reverse arc would return (0, 2, 3),
+        # whose density is exactly 28/3
+        g = Graph(6, [(0, 3), (1, 2), (1, 4), (1, 5), (2, 3)], [7, 1, 2, 7, 7])
+        assert has_subgraph_denser_than_reference(g, Fraction(28, 3)) is None
+        assert has_subgraph_denser_than(g, Fraction(28, 3)) is None
 
     def test_flow_undoes_part_of_a_presaturated_two_edge_path(self):
         # found by random search: the max flow must push back over a path
-        # source-i-x-j-sink that the network build has already filled, so a
-        # build that did not credit the path's reverse arcs loses vertex 5
+        # source-i-x-j-sink that the routing pass has already filled, so a
+        # pass that did not credit the x-j reverse arc loses vertex 5
         g = Graph(8, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (2, 4), (2, 5),
                       (2, 6), (3, 5), (4, 6), (4, 7)],
                   [0, 0, 1, 2, 4, 8, 4, 5, 1, 1, 3])
         for t in (Fraction(9), Fraction(91, 10)):
             assert has_subgraph_denser_than_reference(g, t) == (0, 2, 4, 5, 6, 7)
             assert has_subgraph_denser_than(g, t) == (0, 2, 4, 5, 6, 7)
+
+    def test_flow_undoes_the_first_edge_of_a_routed_two_edge_path(self):
+        # found by random search: the max flow must push back over the arc
+        # i-x of a path source-i-x-j-sink that the routing pass has filled,
+        # so a pass that did not credit the i-x reverse arc would return
+        # (1, 3, 4, 7), whose density is exactly 2
+        g = Graph(8, [(0, 4), (1, 3), (1, 7), (2, 4), (2, 5), (2, 6), (3, 7), (4, 7)])
+        assert has_subgraph_denser_than_reference(g, 2) is None
+        assert has_subgraph_denser_than(g, 2) is None
 
     def test_each_flow_runs_within_the_previous_witness(self, monkeypatch):
         # the loop calls the module global, so a tracer wrapped around it
@@ -416,33 +425,38 @@ class TestWithinMask:
 
 
 class TestFlowCost:
-    """The flow's two-edge pass reads each arc about once."""
+    """The flow's routing pass reads each arc about once, and spares Dinic."""
 
     def test_two_dense_clusters_cost_linear_work(self):
         # Two dense clusters joined by five edges: excess in one cluster
-        # cannot reach a deficit in two steps, so a pass that rescanned each
-        # middle vertex's row from its start, with no resume pointer spent,
-        # would do sum(deg^2) work. The work is counted as the lines that
-        # has_subgraph_denser_than runs, every call of densest_subgraph
-        # included: 38.0 an edge here (400 vertices, 19,941 edges), 747
-        # without spent, so the ceiling of 60 has a margin of 12.
+        # cannot reach a deficit in two steps, so a routing pass that
+        # rescanned each middle vertex's row from its start, with no resume
+        # pointer spent, would do sum(deg^2) work. The work is counted as
+        # the lines each of two functions runs, every call of
+        # densest_subgraph included, on 400 vertices and 19,941 edges.
+        # has_subgraph_denser_than: 32.5 an edge, 753 without spent, so the
+        # ceiling of 60 has a margin of 27.5.
+        # _residual_source_side, Dinic: 3.7 an edge, 25.8 without the
+        # routing pass, so the ceiling of 8 has a margin of 4.3.
         a, b = gnp(200, 0.6, 11), gnp(200, 0.4, 12)
         edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
         g = Graph(a.n + b.n, edges + [(i, a.n + i) for i in range(5)])
-        code = densek.densest.has_subgraph_denser_than.__code__
-        lines = 0
+        codes = (densek.densest.has_subgraph_denser_than.__code__,
+                 densek.densest._residual_source_side.__code__)
+        lines = dict.fromkeys(codes, 0)
 
         def count(frame, event, arg):
-            nonlocal lines
             if event == "line":
-                lines += 1
+                lines[frame.f_code] += 1
             return count
 
         previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+        sys.settrace(lambda frame, event, arg: count if frame.f_code in lines else None)
         try:
             densest_subgraph(g)
         finally:
             sys.settrace(previous)
         assert g.m == 19941
-        assert lines <= 60 * g.m, f"{lines / g.m:.1f} lines an edge"
+        route, dinic = (lines[code] / g.m for code in codes)
+        assert route <= 60, f"routing: {route:.1f} lines an edge"
+        assert dinic <= 8, f"Dinic: {dinic:.1f} lines an edge"

@@ -126,15 +126,21 @@ def test_every_import_is_read():
     assert found == []
 
 
-def test_tracer_targets_resolve():
+def tracer_targets() -> list[tuple[str, str, str]]:
     # the benchmark's tracer patches these by name; read them from its
-    # source, without importing it, so a renamed function fails here
+    # source, without importing it
     [targets] = [
         ast.literal_eval(node.value)
         for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
     ]
+    return targets
+
+
+def test_tracer_targets_resolve():
+    # a renamed function fails here, not in the benchmark
+    targets = tracer_targets()
     assert len(targets) > 10
     missing = [
         f"{module}.{attr}"
@@ -142,6 +148,55 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def unloaded_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level function or class of the sources
+    that no other statement of theirs reads, as a name or an attribute, or
+    imports by name (test_every_import_is_read holds each import to a read).
+
+    Only top-level statements other than the definition itself count, so a
+    recursive call keeps nothing alive.
+    """
+    defs, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node))
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            reads.append((node, names))
+    return [f"{module}.{node.name}" for module, node in defs
+            if not any(node.name in names for other, names in reads if other is not node)]
+
+
+def test_unloaded_definitions_are_found():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef orphan():\n    return orphan()\n",
+        "b": "from a import used\n\nclass Lone:\n    pass\n\ndef f():\n    return x.g\n\ndef g():\n    pass\n",
+    }
+    assert unloaded_definitions(sources) == ["a.orphan", "b.Lone", "b.f"]
+
+
+def test_every_definition_has_a_reader():
+    # code with no caller goes: each module-level function or class of the
+    # package is read elsewhere in it, is a README public name, or is looked
+    # up by name, as a cmd_<command> of the CLI, an ALGORITHMS entry or a
+    # function the benchmark's tracer patches
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    exempt = {f"{getattr(densek, name).__module__.split('.')[-1]}.{name}"
+              for name in densek.__all__}
+    exempt |= {f"algorithms.{function}" for _, function in ALGORITHMS.values()}
+    exempt |= {f"{module.split('.')[-1]}.{attr}" for module, attr, _ in tracer_targets()}
+    found = [name for name in unloaded_definitions(sources)
+             if name not in exempt and not name.startswith("cli.cmd_")]
+    assert found == []
 
 
 def test_readme_algorithm_table_matches_the_registry():

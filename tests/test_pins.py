@@ -6,7 +6,7 @@ unweighted auto-gnp graphs and the weighted cli-weighted graphs under every
 algorithm that takes them, and the sparse peel-sparse graphs under alg1
 alone. Two clique chains join the first group: they reach prc2 and alg1's
 descent, which no workload does. A digest moves only when an answer or an
-event does. Only a change that alters answers on purpose regenerates a pin,
+event does. The README's count of flows on the auto-gnp shapes is pinned too. Only a change that alters answers on purpose regenerates a pin,
 and it states the old and new digests and the reason.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 import densek
 import densek.algorithms
+import densek.densest
 from densek import Graph, Xorshift64Star, best_connected_k_subgraph, run_named_algorithm
 from densek.algorithms import ALGORITHMS
 from helpers import clique_chain, recording
@@ -155,3 +156,21 @@ def test_every_solver_event_is_pinned(pinned_runs):
     _, _, events = pinned_runs
     assert {event for event, _ in events} == set(EVENTS)
     assert _digest(events) == EVENTS_PIN
+
+
+def test_flow_count_matches_the_readme(monkeypatch):
+    # the README's "Exact tools" paragraph quotes 1.36 flows per call: 76
+    # flows over the 56 densest_subgraph calls on the auto-gnp shapes
+    flows = 0
+    real = densek.densest.has_subgraph_denser_than
+
+    def counting(g, threshold, within=None):
+        nonlocal flows
+        flows += 1
+        return real(g, threshold, within=within)
+
+    monkeypatch.setattr(densek.densest, "has_subgraph_denser_than", counting)
+    shapes = auto_gnp_shapes()
+    for _, g, _ in shapes:
+        densek.densest.densest_subgraph(g)
+    assert (flows, len(shapes)) == (76, 56)

@@ -360,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommand -> the function that runs it.
+_COMMANDS = {"solve": cmd_solve, "oracle": cmd_oracle, "gen": cmd_gen, "bench": cmd_bench}
 # Error class -> exit code; the first class that matches wins.
 _EXIT_CODES = (
     (EdgeListError, EXIT_PARSE),
@@ -374,9 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one densek command line and return its exit code.
 
     main may be called any number of times in one process, as the
-    benchmark's in-process solves do. The parser is built on the first call
-    and shared by the rest; it holds no command function, so each call
-    runs the cmd_<command> that this module holds at that moment.
+    benchmark's in-process solves do: the parser is built on the first
+    call and shared by the rest.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "solve" and args.oracle and args.format != "json":
         parser.error("solve: --oracle needs --format json")
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -370,15 +370,11 @@ def _top(ids: Iterable[int], count: int, key: Callable[[int], int]) -> set[int]:
 def _bfs(g: Graph, seed: set[int], members, limit: int | None = None) -> set[int]:
     # The package's one breadth-first search: seed grown inside members, the
     # queue starting sorted and neighbours taken in ascending id. It stops
-    # once limit vertices are chosen (default: all of members), and a limit
-    # it cannot reach is an error.
+    # once limit vertices are chosen (default: all of members), at once for
+    # a seed that already holds them, and a limit it cannot reach is an error.
     adj = g._adj
     chosen = set(seed)
     target = len(members) if limit is None else limit
-    # A seed that already holds the target is returned as it is, with no
-    # queue sorted: the hub scan's closed group often has k vertices.
-    if len(chosen) >= target:
-        return chosen
     queue = deque(sorted(chosen))
     while queue and len(chosen) < target:
         for u in adj[queue.popleft()]:

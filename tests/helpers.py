@@ -1,9 +1,11 @@
 """Shared graph builders and seeded corpora for the test suite."""
 
+import sys
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from types import CodeType
 
 import pytest
 
@@ -35,6 +37,36 @@ def recording():
             lambda event, **fields: events.append((event, fields)),
         )
         yield events
+
+
+def code_objects(function):
+    """function's code object and every one nested in it, comprehensions
+    included: CPython before 3.12 runs a comprehension in a frame of its
+    own."""
+    codes = [function.__code__]
+    for code in codes:
+        codes += [c for c in code.co_consts if isinstance(c, CodeType)]
+    return codes
+
+
+def count_lines(codes, run):
+    """Call run() and return the "line" events that frames of each code
+    object in codes fire, as a dict in codes' order. A line count is exact
+    on every machine, so a cost gate built on it needs no clock margin."""
+    lines = dict.fromkeys(codes, 0)
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code in lines else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines
 
 
 def fields_of(events, name):
@@ -131,6 +163,17 @@ def hairy_clique(core, side):
         edges += [(i, guard), (guard, first)]
         edges += [(u, v) for u in clique for v in clique if u < v]
     return Graph(2 * core + core * side, edges)
+
+
+def clique_with_paths(core, length):
+    """K_core on 0..core-1; core vertex i carries a pendant path of length
+    vertices, on ids core + i * length onward."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    for i in range(core):
+        first = core + i * length
+        path = [i, *range(first, first + length)]
+        edges += zip(path, path[1:])
+    return Graph(core + core * length, edges)
 
 
 def clique_chain(sizes):

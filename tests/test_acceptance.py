@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten guarantees the library commits to.
+"""Acceptance gate: the eleven guarantees the library commits to.
 
 Each test is one criterion; its pytest verdict is the pass/fail line.
 Run with `pytest tests/test_acceptance.py -v -s` to also see the achieved
@@ -16,6 +16,7 @@ from densek import (
     Xorshift64Star,
     alg5_hub,
     alg1,
+    alg3,
     best_connected_k_subgraph,
     brute_densest,
     brute_k,
@@ -40,6 +41,7 @@ from helpers import (
     recording,
     weighted_version,
 )
+from test_pins import auto_gnp_shapes
 
 
 def _report(line: str) -> None:
@@ -262,3 +264,28 @@ def test_criterion_10_universal_well_formedness():
     with pytest.raises(ValueError):
         run_all_algorithms(Graph(4, [(0, 1), (2, 3)]), 3)
     _report(f"criterion 10: {runs} well-formed runs, contract errors confirmed")
+
+
+def test_criterion_11_densest_core_share():
+    # with D = densest_subgraph(g), C its connected variant of s vertices
+    # and rho* its density, alg3's output holds C when s <= k, so its
+    # density is at least rho* s / k; otherwise prc1 keeps at least
+    # rho* k / (4 s). At every even k of 200 seeded random connected graphs
+    # with n <= 30, and at the even core k of each benchmark auto-gnp solve
+    started = time.perf_counter()
+    cases = [(g, range(2, g.n + 1, 2)) for g in connected_corpus(200, max_n=30, seed0=5)]
+    cases += [(g, [k - k % 2]) for _, g, k in auto_gnp_shapes()]
+    checks = tight = 0
+    for g, ks in cases:
+        dense = densest_subgraph(g)
+        s, rho = len(dense.connected_variant), dense.density
+        for k in ks:
+            bound = rho * s / k if s <= k else rho * k / (4 * s)
+            achieved = alg3(g, k).density
+            assert achieved >= bound
+            checks += 1
+            tight += achieved == bound
+    elapsed = time.perf_counter() - started
+    assert checks >= 1500
+    _report(f"criterion 11: {checks} (graph, k) checks, zero violations, "
+            f"{tight} on the bound, {elapsed:.2f}s")

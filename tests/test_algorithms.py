@@ -46,10 +46,13 @@ from helpers import (
     barbell,
     bridged,
     clique_chain,
+    clique_with_paths,
+    code_objects,
     complete,
     components_reference,
     connected_corpus,
     contraction_reference,
+    count_lines,
     cycle,
     expand_log,
     fields_of,
@@ -534,6 +537,39 @@ class TestAlg1:
         assert tested == [0, 8, 0]
         assert peel_log(events) == [[Fraction(46, 9), Fraction(44, 8), 6]]
         assert sol == alg1_reference(g, 4)
+
+    def test_a_dense_side_takes_its_degrees_from_the_view(self, monkeypatch):
+        # the side behind r is a component of the view minus r, so each of
+        # its vertices loses at most its edge to r: a descent walks nothing.
+        # Here 21 descents end in prc2, whose check walks its view once;
+        # walking each side as well made 22 walks
+        g = clique_chain([2, 6, 2, 6, 3] * 24)
+        real = densek.algorithms._view_degrees
+        walked = []
+        monkeypatch.setattr(densek.algorithms, "_view_degrees",
+                            lambda g, view: walked.append(len(view)) or real(g, view))
+        with recording() as events:
+            sol = alg1(g, 34)
+        assert (g.n, sol.density) == (456, Fraction(73, 17))
+        assert len(fields_of(events, "peel_phase")) == 22
+        assert len(walked) == 1
+
+    @pytest.mark.parametrize("core, length", [(30, 30), (20, 40), (40, 20)])
+    def test_peel_runs_linear_lines(self, core, length):
+        # the docstring bounds the level scans of a phase by m * (1 + ln
+        # maxdeg) entries; the leaves go one by one, each step reading its
+        # vertex's row. Counted as the lines alg1's code objects run on K_core
+        # with core pendant paths of length vertices, k = core: 9.7-10.1 per
+        # (n + m) on CPython 3.10-3.13. A copy that rebuilt its heap from the
+        # whole view after every deletion gave the same answers at 154-200,
+        # so the ceiling of 20 has a margin of 9.9.
+        g = clique_with_paths(core, length)
+        solutions = []
+        lines = count_lines(code_objects(densek.algorithms.alg1),
+                            lambda: solutions.append(alg1(g, core)))
+        assert solutions[0].vertices == tuple(range(core))
+        per = sum(lines.values()) / (g.n + g.m)
+        assert per <= 20, f"alg1: {per:.1f} lines per vertex and edge"
 
     def test_whole_graph_when_k_equals_n(self):
         sol = alg1(cycle(6), 6)

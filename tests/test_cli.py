@@ -476,19 +476,6 @@ class TestSharedParser:
         assert "oracle" in json.loads(reports[1])
         assert "oracle" not in json.loads(reports[2])
 
-    def test_a_command_patched_in_later_is_the_one_that_runs(
-        self, capsys, monkeypatch, k4p_file
-    ):
-        argv = ["solve", "--input", str(k4p_file), "--k", "4"]
-        assert main(argv) == 0
-        capsys.readouterr()
-        calls = []
-        monkeypatch.setattr(densek.cli, "cmd_solve",
-                            lambda args: calls.append(args.k) or 0)
-        assert main(argv) == 0
-        assert calls == [4]
-        assert capsys.readouterr().out == ""
-
 
 class TestInputFromAPipe:
     """A pipe can be read once only: each command opens its input once."""

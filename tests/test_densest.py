@@ -1,6 +1,5 @@
 """Exact densest-subgraph engine against the brute-force oracle."""
 
-import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -17,7 +16,7 @@ from densek import (
 )
 import densek.densest
 from densek.graph import induced_weight, is_connected
-from helpers import complete, connected_corpus, densest_union, k4p, path, star
+from helpers import complete, connected_corpus, count_lines, densest_union, k4p, path, star
 from helpers import densest_subgraph_reference, has_subgraph_denser_than_reference
 from helpers import induced, is_removable, twice, weighted_version
 from helpers import two_triangles_bridged, two_triangles_path3
@@ -443,20 +442,8 @@ class TestFlowCost:
         g = Graph(a.n + b.n, edges + [(i, a.n + i) for i in range(5)])
         codes = (densek.densest.has_subgraph_denser_than.__code__,
                  densek.densest._residual_source_side.__code__)
-        lines = dict.fromkeys(codes, 0)
-
-        def count(frame, event, arg):
-            if event == "line":
-                lines[frame.f_code] += 1
-            return count
-
-        previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: count if frame.f_code in lines else None)
-        try:
-            densest_subgraph(g)
-        finally:
-            sys.settrace(previous)
+        lines = count_lines(codes, lambda: densest_subgraph(g))
         assert g.m == 19941
-        route, dinic = (lines[code] / g.m for code in codes)
+        route, dinic = (count / g.m for count in lines.values())
         assert route <= 60, f"routing: {route:.1f} lines an edge"
         assert dinic <= 8, f"Dinic: {dinic:.1f} lines an edge"

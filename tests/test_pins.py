@@ -6,8 +6,10 @@ unweighted auto-gnp graphs and the weighted cli-weighted graphs under every
 algorithm that takes them, and the sparse peel-sparse graphs under alg1
 alone. Two clique chains join the first group: they reach prc2 and alg1's
 descent, which no workload does. A digest moves only when an answer or an
-event does. The README's count of flows on the auto-gnp shapes is pinned too. Only a change that alters answers on purpose regenerates a pin,
-and it states the old and new digests and the reason.
+event does. The README's count of flows on the auto-gnp shapes is pinned
+too, and so is the hub scan's count of search-free hubs. Only a change
+that alters answers on purpose regenerates a pin, and it states the old
+and new digests and the reason.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import densek
 import densek.algorithms
 import densek.densest
 from densek import Graph, Xorshift64Star, best_connected_k_subgraph, run_named_algorithm
-from densek.algorithms import ALGORITHMS
+from densek.algorithms import ALGORITHMS, highest_degree_vertices
 from helpers import clique_chain, recording
 
 SEED = 1
@@ -174,3 +176,19 @@ def test_flow_count_matches_the_readme(monkeypatch):
     for _, g, _ in shapes:
         densek.densest.densest_subgraph(g)
     assert (flows, len(shapes)) == (76, 56)
+
+
+def test_search_free_hub_count_matches_the_comment():
+    # the hub scan's comment at its len(free[hub]) <= half branch quotes
+    # 7,022 of 9,076 hubs: over the auto-gnp shapes, at each solve's even
+    # core k, the vertices outside the k/2 highest-degree set, and those of
+    # them with at most k/2 neighbours outside it
+    hubs = search_free = 0
+    for _, g, k in auto_gnp_shapes():
+        half = k // 2
+        high = set(highest_degree_vertices(g, half))
+        for v in range(g.n):
+            if v not in high:
+                hubs += 1
+                search_free += sum(u not in high for u in g.neighbors(v)) <= half
+    assert (search_free, hubs) == (7022, 9076)
